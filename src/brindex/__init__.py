@@ -41,6 +41,7 @@ from .invariants import (
     tjurina,
 )
 from .foliation import (
+    Parametrization,
     PlaneFoliation,
     blowup,
     generalized_curve_check,
@@ -59,6 +60,5 @@ from .projective import (
     foliation_milnor_sum,
     global_br_check,
 )
-from .series import Parametrization
 
 __version__ = "0.1.0"

@@ -1,6 +1,6 @@
 """Command line front end.
 
-    brindex run FILE [--json] [--steps N] [--trunc N] [--bound N]
+    brindex run FILE [--json] [--steps N] [--bound N]
     brindex corpus [--json] [--filter STR] [--perturb] [...]
 
 Exit codes: 0 success, 1 parse error, 2 mathematical domain error,
@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import DEFAULT_LIMITS, set_limits
+from .config import set_limits
 from .corpus import corpus_failures, render_corpus_human, run_corpus
 from .errors import (
     BrindexError,
@@ -43,7 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for p in (run_p, corpus_p):
         p.add_argument("--json", action="store_true", help="JSON Lines output")
         p.add_argument("--steps", type=int, help="normal-form reduction budget")
-        p.add_argument("--trunc", type=int, help="series truncation order")
         p.add_argument("--bound", type=int, help="colength oracle degree cap")
     return parser
 
@@ -53,9 +52,6 @@ def main(argv=None) -> int:
     overrides = {}
     if args.steps is not None:
         overrides["max_reduction_steps"] = args.steps
-    if args.trunc is not None:
-        overrides["series_trunc"] = args.trunc
-        overrides["series_trunc_max"] = max(args.trunc, DEFAULT_LIMITS.series_trunc_max)
     if args.bound is not None:
         overrides["oracle_bound"] = args.bound
     if overrides:

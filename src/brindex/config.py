@@ -13,10 +13,6 @@ from dataclasses import dataclass, replace
 class Limits:
     # Local normal-form reduction steps allowed per standard-basis run.
     max_reduction_steps: int = 200_000
-    # Default truncation order for series pullbacks.
-    series_trunc: int = 64
-    # Truncation ceiling when an order query keeps coming back empty.
-    series_trunc_max: int = 1024
     # Degree cap for the linear-algebra colength cross-check.
     oracle_bound: int = 64
 

@@ -58,10 +58,5 @@ class UnsupportedError(ComputationError):
     """Input outside the implemented range (wrong dimension, non-ICIS, ...)."""
 
 
-class InconclusiveTruncation(BrindexError):
-    """A truncated series is zero up to its truncation order; the query
-    (e.g. vanishing order) cannot be answered at this precision."""
-
-
 class ResourceLimitError(BrindexError):
-    """A configured budget (reduction steps, series truncation) was exhausted."""
+    """A configured budget (normal-form reduction steps) was exhausted."""

@@ -1,4 +1,5 @@
-"""Germs of singular foliations of the plane: tangency, blow-up, ledgers.
+"""Germs of singular foliations of the plane: tangency, pullbacks, blow-up,
+ledgers.
 
 A foliation is stored through a saturated 1-form A dx + B dy (common factor
 removed); its tangent vector field is v = -B d/dx + A d/dy.  The quadratic
@@ -17,14 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import get_limits
 from .elim import poly_gcd, rational_roots
 from .errors import (
     ComputationError,
     InvariantCurveError,
     IrrationalPointError,
     NonIsolatedError,
-    ResourceLimitError,
 )
 from .invariants import (
     HypersurfaceGerm,
@@ -36,7 +35,6 @@ from .invariants import (
 )
 from .localalg import INFINITY, LocalIdeal, colength
 from .poly import MPoly, OneForm, Ring, ring
-from .series import Parametrization, pullback_form, pullback_form_degree_bound
 
 CHART_XT = ring("x", "t")
 CHART_UY = ring("u", "y")
@@ -128,37 +126,63 @@ def intersection_mult(f: MPoly, g: MPoly) -> int | float:
     return colength(LocalIdeal.make(f.ring, [f, g]))
 
 
+T_RING = ring("t")
+
+
+@dataclass(frozen=True)
+class Parametrization:
+    """A polynomial map t -> (x_1(t), ..., x_n(t)) with all x_i(0) = 0."""
+
+    components: tuple[MPoly, ...]
+
+    def __post_init__(self):
+        for p in self.components:
+            if p.ring != T_RING:
+                raise ValueError("parametrization components must be polynomials in t")
+            if p.constant_term() != 0:
+                raise ValueError("parametrizations must pass through the origin")
+
+    @property
+    def n(self) -> int:
+        return len(self.components)
+
+    def lies_on(self, phi: MPoly) -> bool:
+        """Exact membership test: phi(x(t)) == 0 as a polynomial in t."""
+        if phi.ring.n != self.n:
+            raise ValueError("parametrization and polynomial sizes differ")
+        return phi.subs(T_RING, list(self.components)).is_zero
+
+    def multiplicity(self) -> int:
+        """min_i ord_t x_i(t); the multiplicity of the parametrized branch."""
+        orders = [p.order() for p in self.components if not p.is_zero]
+        if not orders:
+            raise ComputationError("zero parametrization has no multiplicity")
+        return int(min(orders))
+
+
 def order_pullback(
-    omega: OneForm,
-    param: Parametrization,
-    X: HypersurfaceGerm | None = None,
-    trunc: int | None = None,
+    omega: OneForm, param: Parametrization, X: HypersurfaceGerm | None = None
 ) -> int:
     """ord_t of the pullback of omega along a polynomial parametrization.
 
-    When X is supplied the parametrization is first verified to lie on X
-    (exact polynomial identity).  The truncation order doubles on an all-zero
-    prefix until either a term appears, the exact degree bound certifies the
-    pullback is identically zero (invariant branch), or the ceiling is hit.
+    The pullback  sum_i A_i(x(t)) x_i'(t)  is an exact polynomial in t, so
+    its order is its lowest degree; a zero pullback means the parametrized
+    branch is invariant.  When X is supplied the parametrization is first
+    verified to lie on X (exact polynomial identity).
     """
-    limits = get_limits()
-    T = trunc if trunc is not None else limits.series_trunc
+    if omega.ring.n != param.n:
+        raise ValueError("form and parametrization sizes differ")
     if X is not None and not param.lies_on(X.phi):
         raise ComputationError("the parametrization does not lie on the curve")
-    bound = pullback_form_degree_bound(omega, param)
-    while True:
-        s = pullback_form(omega, param, T)
-        if not s.is_zero:
-            return s.order()
-        if T > bound:
-            raise InvariantCurveError(
-                "the form pulls back to zero: the parametrized branch is invariant"
-            )
-        if T >= limits.series_trunc_max:
-            raise ResourceLimitError(
-                f"series truncation ceiling {limits.series_trunc_max} reached"
-            )
-        T = min(2 * T, limits.series_trunc_max)
+    comps = list(param.components)
+    pulled = T_RING.zero()
+    for a, comp in zip(omega.coeffs, comps):
+        pulled = pulled + a.subs(T_RING, comps) * comp.partial(0)
+    if pulled.is_zero:
+        raise InvariantCurveError(
+            "the form pulls back to zero: the parametrized branch is invariant"
+        )
+    return int(pulled.order())
 
 
 # -- blow-up ------------------------------------------------------------------

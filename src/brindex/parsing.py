@@ -20,6 +20,10 @@ from fractions import Fraction
 from .errors import ExprParseError
 from .poly import MPoly, OneForm, Ring
 
+# Deepest parenthesis nesting accepted; each level costs a few interpreter
+# frames, and this keeps the parser well inside the default recursion limit.
+MAX_NESTING = 100
+
 
 @dataclass(frozen=True)
 class _Token:
@@ -68,6 +72,7 @@ class _Parser:
         self.tokens = tokens
         self.ring = ring
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -149,8 +154,14 @@ class _Parser:
             self.advance()
             return self.ring.var(tok.text)
         if tok.kind == "OP" and tok.text == "(":
+            if self.depth == MAX_NESTING:
+                raise ExprParseError(
+                    f"parentheses nested deeper than {MAX_NESTING}", tok.pos
+                )
             self.advance()
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             self.expect_op(")")
             return inner
         raise ExprParseError("expected a number, variable or parenthesis", tok.pos)

@@ -339,14 +339,12 @@ class MPoly:
         """Composite with x_i -> images[i]; images live in ``target``."""
         if len(images) != self.ring.n:
             raise ValueError("need one image per variable")
-        pow_cache: list[dict[int, MPoly]] = [
-            {0: target.one(), 1: img} for img in images
-        ]
+        pow_cache: list[list[MPoly]] = [[target.one(), img] for img in images]
 
         def power(i: int, k: int) -> MPoly:
             cache = pow_cache[i]
-            if k not in cache:
-                cache[k] = power(i, k - 1) * cache[1]
+            while len(cache) <= k:
+                cache.append(cache[-1] * cache[1])
             return cache[k]
 
         result = target.zero()

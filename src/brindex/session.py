@@ -28,6 +28,8 @@ from fractions import Fraction
 
 from .errors import BrindexError, ExprParseError, SessionError
 from .foliation import (
+    T_RING,
+    Parametrization,
     PlaneFoliation,
     blowup,
     generalized_curve_check,
@@ -56,7 +58,6 @@ from .localalg import INFINITY, LocalIdeal, colength
 from .parsing import parse_form, parse_poly
 from .poly import MPoly, OneForm, Ring, ring
 from .projective import foliation_milnor_sum, global_br_check
-from .series import Parametrization, T_RING
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -205,7 +206,7 @@ class Session:
             elif head == "theta":
                 self.thetas[name] = self._parse_theta(rhs, R, line)
             else:
-                self.params[name] = self._parse_param(rhs, line)
+                self.params[name] = self._parse_param(rhs, R, line)
             return
         if head == "compute":
             parts = rest.split()
@@ -227,16 +228,28 @@ class Session:
             entries = [e.strip() for e in chunk.split(",")]
             if not all(entries):
                 raise SessionError("empty entry in theta row", line)
+            if len(entries) != R.n:
+                raise SessionError(
+                    f"theta row has width {len(entries)}; the ring has {R.n} variables",
+                    line,
+                )
             rows.append(tuple(parse_poly(e, R) for e in entries))
         return ThetaGenerators(tuple(rows))
 
-    def _parse_param(self, rhs: str, line: int) -> Parametrization:
+    def _parse_param(self, rhs: str, R: Ring, line: int) -> Parametrization:
         if not (rhs.startswith("(") and rhs.endswith(")")):
             raise SessionError("param needs (EXPR_t, EXPR_t)", line)
         entries = [e.strip() for e in rhs[1:-1].split(",")]
         if len(entries) < 2 or not all(entries):
             raise SessionError("param needs one expression per variable", line)
+        if len(entries) != R.n:
+            raise SessionError(
+                f"param has {len(entries)} components; the ring has {R.n} variables",
+                line,
+            )
         comps = tuple(parse_poly(e, T_RING) for e in entries)
+        if any(c.constant_term() != 0 for c in comps):
+            raise SessionError("param must pass through the origin (x_i(0) = 0)", line)
         return Parametrization(comps)
 
     # -- directives --------------------------------------------------------

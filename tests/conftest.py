@@ -16,6 +16,8 @@ from hypothesis import settings
 from brindex.elim import is_squarefree, resultant
 from brindex.errors import InvariantCurveError
 from brindex.foliation import (
+    T_RING,
+    Parametrization,
     PlaneFoliation,
     intersection_mult,
     order_pullback,
@@ -37,7 +39,6 @@ from brindex.invariants import (
 from brindex.localalg import INFINITY, LocalIdeal, colength, colength_oracle_auto
 from brindex.parsing import parse_poly
 from brindex.poly import MPoly, OneForm, ring
-from brindex.series import Parametrization, T_RING
 
 settings.register_profile("default", max_examples=60, deadline=None, derandomize=True)
 settings.register_profile("thorough", max_examples=400, deadline=None)

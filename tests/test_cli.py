@@ -82,6 +82,23 @@ def test_resource_limit_exits_3(tmp_path, capsys):
     assert "resource limit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "ring x, y, z\nparam c = (t^2, t^5)\nform w = y dx + x dy + z dz\n"
+        "compute pullback-order w c\n",
+        "ring x, y\nparam c = (1 + t, t^5)\n",
+        "ring x, y\ntheta T = [x]\ncurve X = y^2 - x^5\nform w = y dx + x dy\n"
+        "compute br w X T\n",
+        "ring x, y\ncurve X = " + "(" * 3000 + "x" + ")" * 3000 + "\n",
+    ],
+    ids=["param-width", "param-off-origin", "theta-width", "deep-nesting"],
+)
+def test_bad_bindings_exit_1(tmp_path, capsys, text):
+    assert main(["run", _write(tmp_path, text)]) == 1
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_perturbed_corpus_exits_4(capsys):
     assert main(["corpus", "--filter", "monomial-curve-p2q5", "--perturb"]) == 4
     assert "FAIL" in capsys.readouterr().out
@@ -101,7 +118,7 @@ def test_corpus_filter_runs_a_subset(capsys):
 
 def test_flags_are_accepted(tmp_path, capsys):
     code = main(
-        ["run", _write(tmp_path, GOOD), "--trunc", "32", "--bound", "48", "--steps", "100000"]
+        ["run", _write(tmp_path, GOOD), "--bound", "48", "--steps", "100000"]
     )
     assert code == 0
     capsys.readouterr()

@@ -5,11 +5,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from brindex.errors import ComputationError, InvariantCurveError
 from brindex.foliation import (
     CHART_XT,
+    T_RING,
     ExceptionalPoint,
+    Parametrization,
     PlaneFoliation,
     blowup,
     delta_invariant_drop,
@@ -26,7 +30,6 @@ from brindex.invariants import HypersurfaceGerm
 from brindex.localalg import INFINITY
 from brindex.parsing import parse_form, parse_poly
 from brindex.poly import OneForm, ring
-from brindex.series import Parametrization, T_RING
 
 R2 = ring("x", "y")
 
@@ -93,7 +96,54 @@ def test_intersection_mult_knowns():
     assert intersection_mult(parse_poly("x", R2), parse_poly("x + x*y", R2)) == INFINITY
 
 
-# -- pullback orders ----------------------------------------------------------------
+# -- parametrizations and pullback orders -------------------------------------------
+
+
+def test_parametrization_validation():
+    with pytest.raises(ValueError):
+        _param("1 + t", "t^2")  # must pass through 0
+    good = _param("t^2", "t^3")
+    assert good.n == 2
+    assert good.multiplicity() == 2
+
+
+def test_lies_on_is_exact():
+    cusp = parse_poly("y^2 - x^3", R2)
+    assert _param("t^2", "t^3").lies_on(cusp)
+    assert not _param("t^2", "t^3 + t^4").lies_on(cusp)
+    assert _param("t^2", "t^3 + t^4").lies_on(parse_poly("(y - x^2)^2 - x^3", R2))
+
+
+@given(st.integers(1, 4), st.integers(1, 5))
+def test_lies_on_monomial_curves(p, q):
+    f = parse_poly(f"y^{p} - x^{q}", R2)
+    assert _param(f"t^{p}", f"t^{q}").lies_on(f)
+
+
+def test_order_pullback_of_df_is_one_below_the_order_of_f():
+    # d(f(x(t)))/dt = (df)(x(t)) . x'(t), so ord_t of the pullback of df is
+    # ord_t f(x(t)) - 1 whenever f(x(t)) is not constant.
+    for pm in (_param("t^2", "t^3"), _param("t^2", "t^3 + t^5"), _param("t", "t^4")):
+        for text in ("x*y", "x^3 - y^2 + x*y^2", "x + y + x^2"):
+            f = parse_poly(text, R2)
+            along = f.subs(T_RING, list(pm.components))
+            assert order_pullback(OneForm.differential(f), pm) == along.order() - 1
+
+
+def test_order_pullback_known_value():
+    # x*y along (t^2, t^3) is t^5, so the pullback of d(xy) is 5 t^4.
+    xy = parse_poly("x*y", R2)
+    pm = _param("t^2", "t^3")
+    assert xy.subs(T_RING, list(pm.components)) == parse_poly("t^5", T_RING)
+    assert order_pullback(OneForm.differential(xy), pm) == 4
+
+
+def test_order_pullback_known_order():
+    # x*y along (t^2, t^5) is t^7, so y dx + x dy pulls back to 7 t^6.
+    pm = _param("t^2", "t^5")
+    xy = parse_poly("x*y", R2)
+    assert xy.subs(T_RING, list(pm.components)) == parse_poly("t^7", T_RING)
+    assert order_pullback(parse_form("y dx + x dy", R2), pm) == 6
 
 
 def test_order_pullback_knowns():
@@ -101,6 +151,14 @@ def test_order_pullback_knowns():
     assert order_pullback(om, _param("t^2", "t^5"), _germ("y^2 - x^5")) == 6
     assert order_pullback(om, _param("t^3", "t^4"), _germ("y^3 - x^4")) == 6
     assert order_pullback(om, _param("t^2", "t^7"), _germ("y^2 - x^7")) == 8
+
+
+def test_order_pullback_of_high_degree_branches():
+    # The pullback is an exact polynomial, so any depth of first term is found.
+    om = parse_form("y dx + x dy", R2)
+    assert order_pullback(om, _param("t^40", "t^41")) == 80
+    assert order_pullback(om, _param("t^600", "t^601")) == 1200
+    assert order_pullback(parse_form("x^1000 dx", R2), _param("t", "t^2")) == 1000
 
 
 def test_order_pullback_without_curve_argument():

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from brindex.errors import ExprParseError
-from brindex.parsing import parse_form, parse_poly
+from brindex.parsing import MAX_NESTING, parse_form, parse_poly
 from brindex.poly import (
     MPoly,
     OneForm,
@@ -62,6 +62,18 @@ def test_parse_rejects_garbage():
     for bad in ("x +", "x^", "w", "x**2", "(x + y", "2x"):
         with pytest.raises(ExprParseError):
             parse_poly(bad, R2)
+
+
+def test_parse_caps_parenthesis_nesting():
+    def nested(depth: int) -> str:
+        return "(" * depth + "x" + ")" * depth
+
+    assert parse_poly(nested(MAX_NESTING), R2) == R2.var(0)
+    with pytest.raises(ExprParseError) as exc:
+        parse_poly(nested(3000), R2)
+    assert exc.value.position == MAX_NESTING
+    with pytest.raises(ExprParseError):
+        parse_form(nested(MAX_NESTING + 1) + " dx", R2)
 
 
 def test_parse_form():
