@@ -2,8 +2,8 @@
 
 Only utility operations live here (gcd, resultants, rational root
 extraction); the standard-basis reduction engine and the colength oracle do
-their arithmetic independently of this module (colength consults the gcd
-once, to decide finiteness in two variables).
+their arithmetic independently of this module (in two variables colength
+consults the gcd once, to decide finiteness, after two truncations failed).
 """
 
 from __future__ import annotations
@@ -55,11 +55,14 @@ def is_unit_germ(f: MPoly) -> bool:
     return f.constant_term() != 0
 
 
-def coprime_at_origin(f: MPoly, g: MPoly) -> bool:
-    """True when the germs of f and g at 0 share no factor vanishing there."""
-    if f.is_zero or g.is_zero:
-        return False
-    return is_unit_germ(poly_gcd(f, g))
+def coprime_at_origin(*fs: MPoly) -> bool:
+    """True when the germs of fs at 0 share no factor vanishing there."""
+    d = fs[0]
+    for f in fs[1:]:
+        if is_unit_germ(d):
+            return True
+        d = poly_gcd(d, f)
+    return is_unit_germ(d)
 
 
 def is_squarefree(phi: MPoly) -> bool:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .elim import is_squarefree
+from .elim import coprime_at_origin
 from .errors import (
     ComputationError,
     InvariantCurveError,
@@ -37,8 +37,8 @@ from .poly import MPoly, OneForm, exact_divide, wedge_coeffs
 class HypersurfaceGerm:
     """A reduced hypersurface germ (X, 0) = {phi = 0}.
 
-    phi must vanish at the origin.  For plane curves reducedness is enforced
-    (squarefree check); in higher dimension it is the caller's responsibility.
+    phi must vanish at the origin and be reduced there: phi and its partials
+    share no factor through the origin.
     """
 
     phi: MPoly
@@ -48,8 +48,9 @@ class HypersurfaceGerm:
             raise ComputationError("the zero polynomial does not define a germ")
         if self.phi.constant_term() != 0:
             raise ComputationError("the hypersurface must pass through the origin")
-        if self.phi.ring.n == 2 and not is_squarefree(self.phi):
-            raise ComputationError("plane curve equation is not reduced")
+        partials = (self.phi.partial(i) for i in range(self.n))
+        if not coprime_at_origin(self.phi, *partials):
+            raise ComputationError("hypersurface equation is not reduced at the origin")
 
     @property
     def ring(self):

@@ -6,14 +6,17 @@ to the first listed) and the intermediate polynomial may itself join the
 reductor list, which is what makes the local division terminate.  Once the
 staircase of the partial basis is finite, terms deeper than its corner are
 discarded during reduction (they already lie in the ideal), which keeps
-intermediate polynomials small and makes reductions to zero cheap.
+intermediate polynomials small and makes reductions to zero cheap.  The pair
+loop applies the same highest-corner criterion (Mora; Greuel-Pfister, 1.7):
+a pair whose lcm lies past the corner is never formed.
 
 Colength (the vector-space dimension of O_n / I) is read off the staircase of
-leading exponents.  Infinite colength is detected structurally: some variable
-has no pure power in the leading ideal.  A second, independent route
-(`colength_oracle`) computes dim O_n/(I + m^b) by exact sparse Gaussian
-elimination on truncated multiples of the generators and is used throughout
-the tests to cross-check the standard-basis route.
+leading exponents; one routine (`_staircase`) gives both its cell count and
+its deepest cell, from the minimal leading exponents.  Infinite colength is
+detected structurally: some variable has no pure power in the leading ideal.
+A second, independent route (`colength_oracle`) computes dim O_n/(I + m^b) by
+exact sparse Gaussian elimination on truncated multiples of the generators
+and is used throughout the tests to cross-check the standard-basis route.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .config import get_limits
-from .elim import is_unit_germ, poly_gcd
+from .elim import coprime_at_origin
 from .errors import ResourceLimitError
 from .poly import (
     Exp,
@@ -136,25 +139,43 @@ def _int_spoly(f_rec: tuple, g_rec: tuple) -> dict:
     return _int_combine(shifted, shifted[lcm], gt, gt[ge], exp_sub(lcm, ge))
 
 
-def _corner_key(ring_: Ring, exps: Sequence[Exp]) -> tuple | None:
-    """Local-order key of the deepest staircase cell, or None if unbounded.
+def _staircase(n: int, exps: Sequence[Exp]) -> tuple[int, Exp] | None:
+    """(cell count, deepest cell under local_key) of the staircase of ``exps``.
 
-    Every monomial strictly deeper than this cell already lies in the leading
-    ideal of ``exps``, hence (corner theorem for local degree orders) any
-    polynomial supported entirely past the corner lies in the ideal itself.
+    Cells are the monomials no exponent divides (an empty staircase reports
+    the origin); None when some variable has no pure power.  Two variables:
+    one pass over the minimal exponents by x-exponent, column heights b_i on
+    a_i <= x < a_{i+1}, deepest cell at an inner corner.  Otherwise recurse on
+    the slices of the last variable.
     """
-    n = ring_.n
-    box = []
-    for i in range(n):
-        pure = [e[i] for e in exps if all(e[j] == 0 for j in range(n) if j != i)]
-        if not pure:
+    if n == 1:
+        if not exps:
             return None
-        box.append(min(pure))
-    deepest = local_key((0,) * n)
-    for point in itertools.product(*(range(k) for k in box)):
-        if not any(monomial_divides(e, point) for e in exps):
-            deepest = max(deepest, local_key(point))
-    return deepest
+        a = min(e[0] for e in exps)
+        return a, (max(a - 1, 0),)
+    if n == 2:
+        minimal: list[Exp] = []
+        for e in sorted(exps):
+            if not minimal or e[1] < minimal[-1][1]:
+                minimal.append(e)
+        if not minimal or minimal[0][0] != 0 or minimal[-1][1] != 0:
+            return None
+        count, deepest = 0, (0, 0)
+        for (a, b), (a_next, _) in zip(minimal, minimal[1:]):
+            count += (a_next - a) * b
+            deepest = max(deepest, (a_next - 1, b - 1), key=local_key)
+        return count, deepest
+    pure = [e[-1] for e in exps if not any(e[:-1])]
+    if not pure:
+        return None
+    count, deepest = 0, (0,) * n
+    for c in range(min(pure)):
+        cut = _staircase(n - 1, [e[:-1] for e in exps if e[-1] <= c])
+        if cut is None:
+            return None
+        count += cut[0]
+        deepest = max(deepest, cut[1] + (c,), key=local_key)
+    return count, deepest
 
 
 def _int_cut(d: dict, corner: tuple | None) -> dict:
@@ -191,31 +212,46 @@ def _complete_records(ring_: Ring, basis: list, budget: _Budget) -> list:
     """Buchberger pair loop over reductor records, Mora normal forms.
 
     Pairs of single monomials are skipped: their s-polynomial is identically
-    zero.  The staircase corner is refreshed whenever the basis grows.
+    zero.  Every monomial deeper than the deepest staircase cell (the
+    corner) lies in the leading ideal, so any polynomial supported past the
+    corner lies in the ideal (corner theorem for local degree orders).  Hence
+    a pair whose lcm lies past the corner is never formed, and since the heap
+    pops lcms in increasing key order while the corner, refreshed whenever the
+    basis grows, only moves shallower, the loop ends at the first lcm past it.
     """
     heap: list = []
     counter = itertools.count()
+
+    def corner_key() -> tuple | None:
+        stairs = _staircase(ring_.n, [r[1] for r in basis])
+        return None if stairs is None else local_key(stairs[1])
+
+    def past(key: tuple) -> bool:
+        return corner is not None and key > corner
 
     def push_pairs(new_index: int):
         g = basis[new_index]
         for i in range(new_index):
             if len(g[0]) == 1 and len(basis[i][0]) == 1:
                 continue
-            lcm = exp_lcm(basis[i][1], g[1])
-            heapq.heappush(heap, (local_key(lcm), next(counter), i, new_index))
+            key = local_key(exp_lcm(basis[i][1], g[1]))
+            if not past(key):
+                heapq.heappush(heap, (key, next(counter), i, new_index))
 
+    corner = corner_key()
     for j in range(1, len(basis)):
         push_pairs(j)
 
-    corner = _corner_key(ring_, [r[1] for r in basis])
     while heap:
-        _, _, i, j = heapq.heappop(heap)
+        key, _, i, j = heapq.heappop(heap)
+        if past(key):
+            break
         budget.spend()
         h = _mora_nf(_int_spoly(basis[i], basis[j]), basis, budget, corner)
         if h:
             basis.append(_int_record(h))
             push_pairs(len(basis) - 1)
-            corner = _corner_key(ring_, [r[1] for r in basis])
+            corner = corner_key()
     return basis
 
 
@@ -248,61 +284,23 @@ def leading_exponents(basis: Sequence[MPoly]) -> list[Exp]:
 
 def colength_from_leading(ring_: Ring, exps: Sequence[Exp]) -> int | float:
     """Count monomials outside the staircase of ``exps``; inf when unbounded."""
-    n = ring_.n
-    box = []
-    for i in range(n):
-        pure = [e[i] for e in exps if all(e[j] == 0 for j in range(n) if j != i)]
-        if not pure:
-            return INFINITY
-        box.append(min(pure))
-    count = 0
-    for point in itertools.product(*(range(k) for k in box)):
-        if not any(monomial_divides(e, point) for e in exps):
-            count += 1
-    return count
-
-
-def _degree_slice(n: int, d: int) -> list[Exp]:
-    """All exponents in n variables of total degree exactly d."""
-    if n == 1:
-        return [(d,)]
-    out = []
-    for k in range(d + 1):
-        out.extend((k,) + rest for rest in _degree_slice(n - 1, d - k))
-    out.sort(key=local_key)
-    return out
-
-
-def _staircase_census(exps: Sequence[Exp], n: int) -> tuple[int, int]:
-    """(cell count, max cell degree) for a staircase with all pure powers."""
-    box = []
-    for i in range(n):
-        box.append(
-            min(e[i] for e in exps if all(e[j] == 0 for j in range(n) if j != i))
-        )
-    count = 0
-    max_deg = -1
-    for point in itertools.product(*(range(k) for k in box)):
-        if not any(monomial_divides(e, point) for e in exps):
-            count += 1
-            max_deg = max(max_deg, sum(point))
-    return count, max_deg
+    stairs = _staircase(ring_.n, exps)
+    return INFINITY if stairs is None else stairs[0]
 
 
 def _colength_bounded(ideal: LocalIdeal, bound: int, budget: _Budget) -> int | None:
     """Colength via a standard basis of I + m^bound, or None if uncertified.
 
-    The staircase of I + m^bound is the staircase of I cut at degree < bound.
-    A staircase cell of degree d forces divisor cells at every degree below d,
-    so if no cell reaches degree bound - 1 the cut changed nothing and the
-    count is the colength of I itself.
+    Two variables.  The staircase of I + m^bound is the staircase of I cut at
+    degree < bound.  A staircase cell of degree d forces divisor cells at every
+    degree below d, so if no cell reaches degree bound - 1 the cut changed
+    nothing and the count is the colength of I itself.
     """
     basis = [_int_record(_int_from_poly(g)) for g in ideal.gens]
-    for e in _degree_slice(ideal.ring.n, bound):
-        basis.append(({e: 1}, e, 0))
+    basis += [({(bound - k, k): 1}, (bound - k, k), 0) for k in range(bound + 1)]
     basis = _complete_records(ideal.ring, basis, budget)
-    count, max_deg = _staircase_census([r[1] for r in basis], ideal.ring.n)
-    if max_deg >= bound - 1:
+    count, deepest = _staircase(ideal.ring.n, [r[1] for r in basis])
+    if sum(deepest) >= bound - 1:
         return None
     return count
 
@@ -315,7 +313,9 @@ def colength(ideal: LocalIdeal, max_steps: int | None = None) -> int | float:
 
     In two variables the staircase is computed through certified truncations
     I + m^b with doubling b, which keeps every intermediate polynomial degree
-    bounded; infinitude is decided exactly by the gcd of the generators.
+    bounded.  An ideal of infinite colength never certifies; once the
+    truncations at b = 8 and b = 16 have both failed, a common factor of the
+    generators through the origin (their gcd) decides infinitude exactly.
     """
     if max_steps is None:
         max_steps = get_limits().max_reduction_steps
@@ -324,18 +324,12 @@ def colength(ideal: LocalIdeal, max_steps: int | None = None) -> int | float:
     if ideal.ring.n == 2:
         budget = _Budget(max_steps)
         bound = 8
-        infinite_ruled_out = False
         while bound <= _BOUND_CAP:
             value = _colength_bounded(ideal, bound, budget)
             if value is not None:
                 return value
-            if not infinite_ruled_out:
-                g = ideal.gens[0]
-                for other in ideal.gens[1:]:
-                    g = poly_gcd(g, other)
-                if not is_unit_germ(g):
-                    return INFINITY
-                infinite_ruled_out = True
+            if bound == 16 and not coprime_at_origin(*ideal.gens):
+                return INFINITY
             bound *= 2
         raise ResourceLimitError(
             f"staircase does not close below degree {_BOUND_CAP}"

@@ -22,6 +22,7 @@ from brindex.invariants import (
     euler_obstruction_curve,
     gsv_hyp,
     gsv_icis,
+    gsv_ideal,
     icis_pair_milnor,
     invariant_report,
     is_invariant,
@@ -30,7 +31,7 @@ from brindex.invariants import (
     radial_index,
     tjurina,
 )
-from brindex.localalg import INFINITY
+from brindex.localalg import INFINITY, colength, colength_oracle_auto
 from brindex.parsing import parse_form, parse_poly
 from brindex.poly import OneForm, ring
 
@@ -64,6 +65,15 @@ def test_germ_validation():
     assert _germ("x^2*y - x*y^2").phi is not None  # xy(x - y) is reduced
     assert _germ("x*y").multiplicity() == 2
     assert CUSP.multiplicity() == 2
+
+
+def test_reducedness_is_tested_at_the_origin():
+    # (x - 1)^2 is a unit germ at 0: the germ is the reduced cusp.
+    far = _germ("(y^2 - x^3)*(x - 1)^2")
+    assert milnor_hyp(far) == milnor_hyp(CUSP) == 2
+    assert tjurina(far) == tjurina(CUSP) == 2
+    with pytest.raises(ComputationError, match="not reduced"):
+        _germ("(x^2 + y^3 + z^5)^2", R3)
 
 
 def test_milnor_and_tjurina_of_knowns():
@@ -189,6 +199,30 @@ def test_gsv_knowns():
     assert gsv_hyp(_form("y dx + x dy"), _germ("y^2 - x^5")) == 10
     assert gsv_hyp(OneForm.differential(parse_poly("x", R2)), CUSP) == 3
     assert gsv_hyp(OneForm.differential(CUSP.phi), CUSP) == INFINITY
+
+
+@pytest.mark.parametrize(
+    "phi, gsv",
+    [
+        ("x^2 + y^3 + z^5", 15),
+        ("x^3 + y^3 + z^3", 21),
+        ("x^2*y + y^4 + z^2", 12),
+        ("x^2 + y^5 + z^7", 35),
+        ("x^3 + y^4 + z^5", 41),
+        ("x^2 + y^3 + z^4", 13),
+        ("x^2 + y^2 + z^6", 12),
+        ("x^2 + y^3 + y*z^3", 14),
+    ],
+)
+def test_surface_colengths_agree_with_the_oracle(phi, gsv):
+    # The standard-basis route in three variables, highest-corner cutoff
+    # included, against the linear-algebra oracle.
+    X = _germ(phi, R3)
+    omega = _form("(x + y^2) dx + (y + z^2) dy + (z + x^2) dz", R3)
+    ideals = (X.jacobian_ideal(), X.tjurina_ideal(), gsv_ideal(omega, X))
+    values = [colength(I) for I in ideals]
+    assert values == [colength_oracle_auto(I) for I in ideals]
+    assert values[2] == gsv
 
 
 def test_gsv_icis_smoke():

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from brindex.elim import coprime_at_origin
 from brindex.errors import ResourceLimitError
 from brindex.localalg import (
     INFINITY,
     LocalIdeal,
+    _staircase,
     colength,
     colength_from_leading,
     colength_oracle,
@@ -21,7 +24,7 @@ from brindex.localalg import (
     standard_basis,
 )
 from brindex.parsing import parse_poly
-from brindex.poly import MPoly, ring
+from brindex.poly import MPoly, local_key, monomial_divides, ring
 
 R1 = ring("t")
 R2 = ring("x", "y")
@@ -80,6 +83,20 @@ def test_large_staircase_forces_bound_doubling():
     assert colength(_ideal(R2, "x^40", "y^2")) == 80
 
 
+def test_coprime_at_origin():
+    x, y, unit = (parse_poly(t, R2) for t in ("x", "y", "1 + x"))
+    assert coprime_at_origin(x, y)
+    assert coprime_at_origin(x * unit, unit)
+    assert not coprime_at_origin(x * y, x * (y + unit), x * x)
+    assert not coprime_at_origin(x, R2.zero())  # the zero germ is divisible by x
+    assert coprime_at_origin(unit, R2.zero())
+
+
+def test_common_factor_with_a_large_staircase_is_infinite():
+    # Neither truncation at degree 8 nor at 16 certifies, so the gcd decides.
+    assert colength(_ideal(R2, "x*(y^11 - x^13)", "x*(y^2 - x^5)")) == INFINITY
+
+
 # -- standard bases ---------------------------------------------------------------
 
 
@@ -102,6 +119,43 @@ def test_colength_from_leading():
     assert colength_from_leading(R2, [(2, 0), (1, 1), (0, 4)]) == 5
     assert colength_from_leading(R2, [(1, 1)]) == INFINITY
     assert colength_from_leading(R2, [(0, 0)]) == 0
+
+
+def _box_staircase(n: int, exps: list) -> tuple | None:
+    """Brute-force reference for _staircase: scan the bounding box."""
+    box = []
+    for i in range(n):
+        pure = [e[i] for e in exps if not any(e[:i] + e[i + 1 :])]
+        if not pure:
+            return None
+        box.append(min(pure))
+    cells = [
+        p
+        for p in itertools.product(*(range(k) for k in box))
+        if not any(monomial_divides(e, p) for e in exps)
+    ]
+    return len(cells), max(cells, key=local_key, default=(0,) * n)
+
+
+@st.composite
+def _exponent_sets(draw):
+    n = draw(st.integers(1, 3))
+    exp = st.tuples(*[st.integers(0, 5)] * n)
+    exps = draw(st.lists(exp, max_size=8))
+    if draw(st.booleans()):  # a pure power of every variable
+        for i in range(n):
+            exps.append(tuple(draw(st.integers(1, 6)) if j == i else 0 for j in range(n)))
+    if exps and draw(st.booleans()):
+        exps.append(draw(st.sampled_from(exps)))  # a duplicate
+    if draw(st.integers(0, 7)) == 0:
+        exps.append((0,) * n)
+    return n, draw(st.permutations(exps))
+
+
+@given(_exponent_sets())
+def test_staircase_matches_a_box_scan(case):
+    n, exps = case
+    assert _staircase(n, exps) == _box_staircase(n, exps)
 
 
 def test_budget_exhaustion_raises():
