@@ -23,6 +23,7 @@ from .errors import (
 from .invariants import (
     HypersurfaceGerm,
     InvariantReport,
+    LocalPair,
     ThetaGenerators,
     br_function,
     br_relative,

@@ -17,16 +17,7 @@ from textwrap import dedent
 from .config import get_limits
 from .errors import ComputationError
 from .foliation import PlaneFoliation, tangency_order
-from .invariants import (
-    HypersurfaceGerm,
-    bruce_roberts,
-    bruce_roberts_trivial_direct,
-    gsv_hyp,
-    is_invariant,
-    milnor_form,
-    tjurina,
-    trivial_evaluation_ideal,
-)
+from .invariants import HypersurfaceGerm, LocalPair, trivial_evaluation_ideal
 from .localalg import INFINITY, LocalIdeal, colength, colength_oracle_auto
 from .parsing import parse_poly
 from .poly import MPoly, OneForm, ring
@@ -336,21 +327,14 @@ def run_identity_sweep(n: int = 25, seed: int = _SWEEP_SEED) -> ResultRecord:
         if A.is_zero and B.is_zero:
             continue
         omega = OneForm(R2, (A, B))
-        mu0 = milnor_form(omega)
-        if mu0 == INFINITY:
-            skipped += 1
-            continue
-        if is_invariant(omega, X):
-            skipped += 1
-            continue
-        gsv = gsv_hyp(omega, X)
-        if gsv == INFINITY:
+        pair = LocalPair(omega, X)
+        if pair.mu0_omega == INFINITY or pair.invariant or pair.gsv == INFINITY:
             skipped += 1
             continue
         attempted += 1
-        tau = tjurina(X)
-        mu_br = bruce_roberts(omega, X)
-        direct = bruce_roberts_trivial_direct(omega, X)
+        mu0, gsv = pair.mu0_omega, pair.gsv
+        mu_br = pair.bruce_roberts()
+        direct = pair.bruce_roberts_trivial()
         trivial = colength(trivial_evaluation_ideal(omega, X))
         fol = PlaneFoliation.from_form(omega)
         tang = tangency_order(fol, X)
@@ -359,20 +343,20 @@ def run_identity_sweep(n: int = 25, seed: int = _SWEEP_SEED) -> ResultRecord:
             wins["gsv_decomposition"] += 1
         if trivial == gsv + mu0:
             wins["trivial_evaluation"] += 1
-        if mu_br == mu0 + (gsv - tau):
+        if mu_br == mu0 + pair.br_relative():
             wins["relative_split"] += 1
         if tang == gsv:
             wins["tang_equals_gsv"] += 1
         if fol.milnor() >= nu * (nu + 1) // 2:
             wins["multiplicity_bound"] += 1
-        ideals = [
-            LocalIdeal.make(R2, [A, B]),
-            X.tjurina_ideal(),
-            trivial_evaluation_ideal(omega, X),
+        # The oracle checks the standard-basis colengths the pair and the
+        # trivial route already computed.
+        checked = [
+            (LocalIdeal.make(R2, [A, B]), mu0),
+            (X.tjurina_ideal(), pair.tau0),
+            (trivial_evaluation_ideal(omega, X), trivial),
         ]
-        agreed = all(
-            colength_oracle_auto(I, cap=cap) == colength(I) for I in ideals
-        )
+        agreed = all(colength_oracle_auto(I, cap=cap) == value for I, value in checked)
         if agreed:
             wins["oracle_agreement"] += 1
 

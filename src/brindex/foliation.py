@@ -25,14 +25,7 @@ from .errors import (
     IrrationalPointError,
     NonIsolatedError,
 )
-from .invariants import (
-    HypersurfaceGerm,
-    br_relative,
-    bruce_roberts,
-    is_invariant,
-    milnor_hyp,
-    tjurina,
-)
+from .invariants import HypersurfaceGerm, LocalPair, is_invariant
 from .localalg import INFINITY, LocalIdeal, colength
 from .poly import MPoly, OneForm, Ring, ring
 
@@ -370,15 +363,12 @@ def strict_transform_curve(X: HypersurfaceGerm) -> CurveBlowup:
     )
 
 
-def delta_invariant_drop(
-    X: HypersurfaceGerm, bl_curve: CurveBlowup, q: ExceptionalPoint
-) -> int:
-    """D = tau0(X) - tau_q(Xtilde) - m(m-1)/2, with the Milnor-number drop
-    mu0(X) - mu_q(Xtilde) = m(m-1) verified as a consistency check."""
-    m = bl_curve.m
-    germ_q = bl_curve.germ_at(q)
-    mu0 = milnor_hyp(X)
-    mu_q = milnor_hyp(germ_q)
+def delta_invariant_drop(origin: LocalPair, at_q: LocalPair, m: int) -> int:
+    """D = tau0(X) - tau_q(Xtilde) - m(m-1)/2 for a curve X of multiplicity m
+    (germ of ``origin``) and its strict transform Xtilde at q (germ of
+    ``at_q``), with the Milnor-number drop mu0(X) - mu_q(Xtilde) = m(m-1)
+    verified as a consistency check."""
+    mu0, mu_q = origin.mu0_X, at_q.mu0_X
     if mu0 == INFINITY or mu_q == INFINITY:
         raise NonIsolatedError("non-isolated curve singularity in the blow-up")
     if mu0 - mu_q != m * (m - 1):
@@ -386,9 +376,7 @@ def delta_invariant_drop(
             f"Milnor drop {mu0 - mu_q} does not match m(m-1) = {m * (m - 1)}; "
             "is the curve irreducible and reduced?"
         )
-    tau0 = tjurina(X)
-    tau_q = tjurina(germ_q)
-    return int(tau0 - tau_q - m * (m - 1) // 2)
+    return int(origin.tau0 - at_q.tau0 - m * (m - 1) // 2)
 
 
 @dataclass(frozen=True)
@@ -453,31 +441,28 @@ def verify_blowup_formula(
     q is the divisor point of the strict transform of X; by default it is
     derived, which requires X irreducible at the origin.
     """
-    omega = F.form
-    mu_br_0 = bruce_roberts(omega, X)
-    mu_br_rel_0 = br_relative(omega, X)
-    mu0_F = F.milnor()
-    if mu0_F == INFINITY:
-        raise NonIsolatedError("the foliation has a non-isolated singularity")
+    origin = LocalPair(F.form, X)
+    mu_br_0 = origin.bruce_roberts()
+    mu_br_rel_0 = origin.br_relative()
 
     bl = blowup(F)
     bl_curve = strict_transform_curve(X)
     if q is None:
         q = bl_curve.unique_divisor_point()
 
-    germ_q = bl_curve.germ_at(q)
     if q.chart == "xt":
         fol_q = bl.chart_xt.translate((Fraction(0), q.coord))
     else:
         fol_q = bl.chart_uy
-    mu_br_q = bruce_roberts(fol_q.form, germ_q)
-    mu_br_rel_q = br_relative(fol_q.form, germ_q)
+    at_q = LocalPair(fol_q.form, bl_curve.germ_at(q))
+    mu_br_q = at_q.bruce_roberts()
+    mu_br_rel_q = at_q.br_relative()
 
     sing = exceptional_singularities(bl)
     sum_all = sum(mu for _, mu in sing)
     sum_other = sum(mu for p, mu in sing if p.key() != q.key())
 
-    D = delta_invariant_drop(X, bl_curve, q)
+    D = delta_invariant_drop(origin, at_q, bl_curve.m)
     return BlowupReport(
         nu=bl.nu,
         m=bl_curve.m,
@@ -489,7 +474,7 @@ def verify_blowup_formula(
         mu_br_rel_q=mu_br_rel_q,
         sum_mu_other=sum_other,
         sum_mu_all=sum_all,
-        mu0_F=int(mu0_F),
+        mu0_F=int(origin.mu0_omega),
         delta_drop=D,
         q=q,
     )
@@ -538,24 +523,22 @@ def generalized_curve_check(
         raise ComputationError("f_sep is not invariant by the foliation")
     HypersurfaceGerm(f_sep)  # validates reducedness for the plane case
 
-    omega = F.form
-    dsep = OneForm.differential(f_sep)
-    mu_br_F = bruce_roberts(omega, X)
-    mu_br_rel_F = br_relative(omega, X)
-    mu_br_sep = bruce_roberts(dsep, X)
-    mu_br_rel_sep = br_relative(dsep, X)
-    mu0_F = F.milnor()
-    mu0_dsep = colength(LocalIdeal.make(F.ring, list(dsep.coeffs)))
-    if mu0_F == INFINITY or mu0_dsep == INFINITY:
-        raise NonIsolatedError("non-isolated singularity in the comparison")
+    along_F = LocalPair(F.form, X)
+    along_sep = LocalPair(OneForm.differential(f_sep), X)
+    mu_br_F = along_F.bruce_roberts()
+    mu_br_rel_F = along_F.br_relative()
+    mu_br_sep = along_sep.bruce_roberts()
+    mu_br_rel_sep = along_sep.br_relative()
+    # Both mu0 are finite here: bruce_roberts rejects an infinite one.
+    mu0_F, mu0_dsep = int(along_F.mu0_omega), int(along_sep.mu0_omega)
     delta = (mu_br_F - mu_br_sep) - (mu_br_rel_F - mu_br_rel_sep)
     report = GeneralizedCurveReport(
         mu_br_F=mu_br_F,
         mu_br_sep=mu_br_sep,
         mu_br_rel_F=mu_br_rel_F,
         mu_br_rel_sep=mu_br_rel_sep,
-        mu0_F=int(mu0_F),
-        mu0_dsep=int(mu0_dsep),
+        mu0_F=mu0_F,
+        mu0_dsep=mu0_dsep,
         delta=delta,
     )
     if not report.routes_agree:

@@ -18,7 +18,8 @@ curated and randomized inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .elim import coprime_at_origin
@@ -48,8 +49,7 @@ class HypersurfaceGerm:
             raise ComputationError("the zero polynomial does not define a germ")
         if self.phi.constant_term() != 0:
             raise ComputationError("the hypersurface must pass through the origin")
-        partials = (self.phi.partial(i) for i in range(self.n))
-        if not coprime_at_origin(self.phi, *partials):
+        if not coprime_at_origin(self.phi, *self.dphi):
             raise ComputationError("hypersurface equation is not reduced at the origin")
 
     @property
@@ -60,19 +60,18 @@ class HypersurfaceGerm:
     def n(self) -> int:
         return self.phi.ring.n
 
+    @property
+    def dphi(self) -> list[MPoly]:
+        return [self.phi.partial(i) for i in range(self.n)]
+
     def multiplicity(self) -> int:
         return int(self.phi.order())
 
     def jacobian_ideal(self) -> LocalIdeal:
-        return LocalIdeal.make(
-            self.ring, [self.phi.partial(i) for i in range(self.n)]
-        )
+        return LocalIdeal.make(self.ring, self.dphi)
 
     def tjurina_ideal(self) -> LocalIdeal:
-        return LocalIdeal.make(
-            self.ring,
-            [self.phi] + [self.phi.partial(i) for i in range(self.n)],
-        )
+        return LocalIdeal.make(self.ring, [self.phi, *self.dphi])
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,7 @@ class ThetaGenerators:
 
     def verify_tangent(self, X: HypersurfaceGerm) -> None:
         """Check dphi(xi) in <phi> for every field, by exact division."""
-        dphi = [X.phi.partial(i) for i in range(X.n)]
+        dphi = X.dphi
         for k, xi in enumerate(self.fields):
             if len(xi) != X.n:
                 raise ValueError("vector field dimension does not match the germ")
@@ -135,8 +134,7 @@ def is_invariant(omega: OneForm, X: HypersurfaceGerm) -> bool:
 
 
 def gsv_ideal(omega: OneForm, X: HypersurfaceGerm) -> LocalIdeal:
-    dphi_row = [X.phi.partial(i) for i in range(X.n)]
-    mm = minors([dphi_row, list(omega.coeffs)], 2)
+    mm = minors([X.dphi, list(omega.coeffs)], 2)
     return LocalIdeal.make(X.ring, [X.phi] + mm)
 
 
@@ -170,45 +168,12 @@ def gsv_icis(omega: OneForm, fs: Sequence[MPoly]) -> int | float:
     return colength(LocalIdeal.make(ring_, list(fs) + mm))
 
 
-def bruce_roberts(omega: OneForm, X: HypersurfaceGerm) -> int:
-    """mu_BR(omega, X) computed as GSV + mu0(omega) - tau0(X)."""
-    mu0 = milnor_form(omega)
-    if mu0 == INFINITY:
-        raise NonIsolatedError("the 1-form does not have an isolated zero")
-    tau = tjurina(X)
-    if tau == INFINITY:
-        raise NonIsolatedError("the hypersurface singularity is not isolated")
-    if is_invariant(omega, X):
-        raise InvariantCurveError("the hypersurface is invariant by the form")
-    gsv = gsv_hyp(omega, X)
-    if gsv == INFINITY:
-        raise InvariantCurveError(
-            "a branch of the hypersurface is invariant by the form"
-        )
-    return int(gsv + mu0 - tau)
-
-
 def trivial_evaluation_ideal(omega: OneForm, X: HypersurfaceGerm) -> LocalIdeal:
     """omega evaluated on the tangent fields that exist for every X:
     phi * d_i and the Hamiltonian fields phi_{x_j} d_k - phi_{x_k} d_j."""
     gens = [X.phi * a for a in omega.coeffs]
-    dphi_row = [X.phi.partial(i) for i in range(X.n)]
-    gens += minors([dphi_row, list(omega.coeffs)], 2)
+    gens += minors([X.dphi, list(omega.coeffs)], 2)
     return LocalIdeal.make(X.ring, gens)
-
-
-def bruce_roberts_trivial_direct(omega: OneForm, X: HypersurfaceGerm) -> int:
-    """mu_BR via the colength of the trivial tangent-field evaluation minus
-    tau0.  Independent of the GSV route except for sharing colength."""
-    tau = tjurina(X)
-    if tau == INFINITY:
-        raise NonIsolatedError("the hypersurface singularity is not isolated")
-    value = colength(trivial_evaluation_ideal(omega, X))
-    if value == INFINITY:
-        raise InvariantCurveError(
-            "trivial tangent-field evaluation has infinite colength"
-        )
-    return int(value - tau)
 
 
 def bruce_roberts_user_theta(
@@ -229,42 +194,6 @@ def bruce_roberts_user_theta(
             "evaluation ideal has infinite colength; the generating set may be incomplete"
         )
     return int(result)
-
-
-def br_relative(omega: OneForm, X: HypersurfaceGerm) -> int:
-    """mu_BR^-(omega, X) = GSV - tau0: the relative Bruce-Roberts number."""
-    tau = tjurina(X)
-    if tau == INFINITY:
-        raise NonIsolatedError("the hypersurface singularity is not isolated")
-    gsv = gsv_hyp(omega, X)
-    if gsv == INFINITY:
-        raise InvariantCurveError(
-            "a branch of the hypersurface is invariant by the form"
-        )
-    return int(gsv - tau)
-
-
-def radial_index(omega: OneForm, X: HypersurfaceGerm) -> int:
-    """Radial (Schwartz) index of the restriction of omega to X."""
-    mu_x = milnor_hyp(X)
-    if mu_x == INFINITY:
-        raise NonIsolatedError("the hypersurface singularity is not isolated")
-    gsv = gsv_hyp(omega, X)
-    if gsv == INFINITY:
-        raise InvariantCurveError(
-            "a branch of the hypersurface is invariant by the form"
-        )
-    return int(gsv - mu_x)
-
-
-def euler_obstruction_curve(omega: OneForm, X: HypersurfaceGerm) -> int:
-    """Local Euler obstruction of omega on a plane curve:
-    radial index - (multiplicity - 1)."""
-    if X.n != 2:
-        raise UnsupportedError(
-            "Euler obstruction is implemented for plane curves only"
-        )
-    return radial_index(omega, X) - (X.multiplicity() - 1)
 
 
 def icis_pair_milnor(X: HypersurfaceGerm, f: MPoly) -> int:
@@ -289,14 +218,9 @@ def br_function(f: MPoly, X: HypersurfaceGerm) -> int:
     Also assembled from mu0(f) + mu0(X) + mu0(phi, f) - tau0(X); the two
     routes must agree and the mismatch is reported as an internal error.
     """
-    df = OneForm.differential(f)
-    direct = bruce_roberts(df, X)
-    parts = (
-        milnor_form(df)
-        + milnor_hyp(X)
-        + icis_pair_milnor(X, f)
-        - tjurina(X)
-    )
+    pair = LocalPair(OneForm.differential(f), X)
+    direct = pair.bruce_roberts()
+    parts = pair.mu0_omega + pair.mu0_X + icis_pair_milnor(X, f) - pair.tau0
     if direct != parts:
         raise ComputationError(
             f"function Bruce-Roberts routes disagree: {direct} vs {parts}"
@@ -321,52 +245,126 @@ class InvariantReport:
     eu: int | None  # plane curves only
 
     def as_dict(self) -> dict:
-        out = {
-            "mu0_omega": self.mu0_omega,
-            "mu0_X": self.mu0_X,
-            "tau0": self.tau0,
-            "gsv": self.gsv,
-            "mu_br": self.mu_br,
-            "mu_br_rel": self.mu_br_rel,
-            "rad": self.rad,
-        }
-        if self.tang is not None:
-            out["tang"] = self.tang
-        if self.eu is not None:
-            out["eu"] = self.eu
+        """The invariants by name, in field order; tang and eu only when set."""
+        out = {k: v for k, v in asdict(self).items() if v is not None}
+        del out["n"], out["multiplicity"]
         return out
+
+
+# The value each base quantity must not take, and the typed error if it does.
+_REJECT = {
+    "mu0_omega": (INFINITY, NonIsolatedError, "the 1-form does not have an isolated zero"),
+    "mu0_X": (INFINITY, NonIsolatedError, "the hypersurface singularity is not isolated"),
+    "tau0": (INFINITY, NonIsolatedError, "the hypersurface singularity is not isolated"),
+    "invariant": (True, InvariantCurveError, "the hypersurface is invariant by the form"),
+    "gsv": (
+        INFINITY, InvariantCurveError, "a branch of the hypersurface is invariant by the form"
+    ),
+}
+
+
+class LocalPair:
+    """A (form, hypersurface) pair at the origin.  mu0(omega), mu0(X), tau0(X),
+    GSV(omega, X) and the invariance test are each computed at most once; every
+    invariant is a difference of them and raises the typed error of the first
+    base quantity it needs that fails, checked in a fixed order."""
+
+    def __init__(self, omega: OneForm, X: HypersurfaceGerm):
+        self.omega = omega
+        self.X = X
+
+    mu0_omega = cached_property(lambda self: milnor_form(self.omega))
+    mu0_X = cached_property(lambda self: milnor_hyp(self.X))
+    tau0 = cached_property(lambda self: tjurina(self.X))
+    gsv = cached_property(lambda self: gsv_hyp(self.omega, self.X))
+    invariant = cached_property(lambda self: is_invariant(self.omega, self.X))
+
+    def _require(self, *names: str) -> None:
+        for name in names:
+            bad, error, message = _REJECT[name]
+            if getattr(self, name) == bad:
+                raise error(message)
+
+    def bruce_roberts(self) -> int:
+        """mu_BR = GSV + mu0(omega) - tau0(X)."""
+        self._require("mu0_omega", "tau0", "invariant", "gsv")
+        return int(self.gsv + self.mu0_omega - self.tau0)
+
+    def bruce_roberts_trivial(self) -> int:
+        """mu_BR as the colength of the trivial tangent-field evaluation minus
+        tau0.  That colength is computed afresh on every call and never
+        stored, so it stays an independent check of the GSV route."""
+        self._require("tau0")
+        value = colength(trivial_evaluation_ideal(self.omega, self.X))
+        if value == INFINITY:
+            raise InvariantCurveError(
+                "trivial tangent-field evaluation has infinite colength"
+            )
+        return int(value - self.tau0)
+
+    def br_relative(self) -> int:
+        """mu_BR^- = GSV - tau0(X)."""
+        self._require("tau0", "gsv")
+        return int(self.gsv - self.tau0)
+
+    def radial_index(self) -> int:
+        """Radial (Schwartz) index: GSV - mu0(X)."""
+        self._require("mu0_X", "gsv")
+        return int(self.gsv - self.mu0_X)
+
+    def euler_obstruction(self) -> int:
+        """Plane curves only: radial index - (multiplicity - 1)."""
+        if self.X.n != 2:
+            raise UnsupportedError(
+                "Euler obstruction is implemented for plane curves only"
+            )
+        return self.radial_index() - (self.X.multiplicity() - 1)
+
+    def report(self) -> InvariantReport:
+        """The full battery of invariants; everything must be finite."""
+        self._require("mu0_omega", "mu0_X", "tau0", "invariant", "gsv")
+        n, m = self.X.n, self.X.multiplicity()
+        rad = self.radial_index()
+        return InvariantReport(
+            n=n,
+            multiplicity=m,
+            mu0_omega=int(self.mu0_omega),
+            mu0_X=int(self.mu0_X),
+            tau0=int(self.tau0),
+            gsv=int(self.gsv),
+            mu_br=self.bruce_roberts(),
+            mu_br_rel=self.br_relative(),
+            rad=rad,
+            tang=int(self.gsv) if n == 2 else None,
+            eu=rad - (m - 1) if n == 2 else None,
+        )
+
+
+def bruce_roberts(omega: OneForm, X: HypersurfaceGerm) -> int:
+    """mu_BR(omega, X) computed as GSV + mu0(omega) - tau0(X)."""
+    return LocalPair(omega, X).bruce_roberts()
+
+
+def bruce_roberts_trivial_direct(omega: OneForm, X: HypersurfaceGerm) -> int:
+    """mu_BR via the colength of the trivial tangent-field evaluation minus tau0."""
+    return LocalPair(omega, X).bruce_roberts_trivial()
+
+
+def br_relative(omega: OneForm, X: HypersurfaceGerm) -> int:
+    """mu_BR^-(omega, X) = GSV - tau0: the relative Bruce-Roberts number."""
+    return LocalPair(omega, X).br_relative()
+
+
+def radial_index(omega: OneForm, X: HypersurfaceGerm) -> int:
+    """Radial (Schwartz) index of the restriction of omega to X."""
+    return LocalPair(omega, X).radial_index()
+
+
+def euler_obstruction_curve(omega: OneForm, X: HypersurfaceGerm) -> int:
+    """Local Euler obstruction of omega on a plane curve."""
+    return LocalPair(omega, X).euler_obstruction()
 
 
 def invariant_report(omega: OneForm, X: HypersurfaceGerm) -> InvariantReport:
     """Compute the full battery of invariants; everything must be finite."""
-    mu0 = milnor_form(omega)
-    if mu0 == INFINITY:
-        raise NonIsolatedError("the 1-form does not have an isolated zero")
-    mu_x = milnor_hyp(X)
-    if mu_x == INFINITY:
-        raise NonIsolatedError("the hypersurface singularity is not isolated")
-    tau = tjurina(X)
-    if is_invariant(omega, X):
-        raise InvariantCurveError("the hypersurface is invariant by the form")
-    gsv = gsv_hyp(omega, X)
-    if gsv == INFINITY:
-        raise InvariantCurveError(
-            "a branch of the hypersurface is invariant by the form"
-        )
-    mu_br = int(gsv + mu0 - tau)
-    rad = int(gsv - mu_x)
-    n = X.n
-    m = X.multiplicity()
-    return InvariantReport(
-        n=n,
-        multiplicity=m,
-        mu0_omega=int(mu0),
-        mu0_X=int(mu_x),
-        tau0=int(tau),
-        gsv=int(gsv),
-        mu_br=mu_br,
-        mu_br_rel=int(gsv - tau),
-        rad=rad,
-        tang=int(gsv) if n == 2 else None,
-        eu=rad - (m - 1) if n == 2 else None,
-    )
+    return LocalPair(omega, X).report()

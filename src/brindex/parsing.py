@@ -24,6 +24,11 @@ from .poly import MPoly, OneForm, Ring
 # frames, and this keeps the parser well inside the default recursion limit.
 MAX_NESTING = 100
 
+# Highest total degree a power or product may reach.  The check runs before
+# the power or product is formed, so an exponent like x^99999999999 is
+# rejected at once instead of exhausting memory.
+MAX_DEGREE = 1000
+
 
 @dataclass(frozen=True)
 class _Token:
@@ -65,6 +70,18 @@ def _lex(text: str) -> list[_Token]:
         raise ExprParseError(f"unexpected character {ch!r}", i)
     out.append(_Token("END", "", n))
     return out
+
+
+def _int(tok: _Token) -> int:
+    try:
+        return int(tok.text)
+    except ValueError:  # more digits than int() converts from a string
+        raise ExprParseError("integer literal is too long", tok.pos) from None
+
+
+def _check_degree(degree: int, pos: int) -> None:
+    if degree > MAX_DEGREE:
+        raise ExprParseError(f"degree {degree} exceeds the cap {MAX_DEGREE}", pos)
 
 
 class _Parser:
@@ -112,7 +129,9 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "OP" and tok.text == "*":
                 self.advance()
-                result = result * self.factor()
+                rhs = self.factor()
+                _check_degree(result.total_degree() + rhs.total_degree(), tok.pos)
+                result = result * rhs
             else:
                 return result
 
@@ -125,14 +144,21 @@ class _Parser:
             if etok.kind != "INT":
                 raise ExprParseError("exponent must be a nonnegative integer", etok.pos)
             self.advance()
-            return base ** int(etok.text)
+            exponent = _int(etok)
+            # Constants have degree 0, so the exponent is capped on its own.
+            if exponent > MAX_DEGREE:
+                raise ExprParseError(
+                    f"exponent {exponent} exceeds the cap {MAX_DEGREE}", etok.pos
+                )
+            _check_degree(base.total_degree() * exponent, etok.pos)
+            return base ** exponent
         return base
 
     def base(self) -> MPoly:
         tok = self.peek()
         if tok.kind == "INT":
             self.advance()
-            num = int(tok.text)
+            num = _int(tok)
             nxt = self.peek()
             if nxt.kind == "OP" and nxt.text == "/":
                 self.advance()
@@ -140,7 +166,7 @@ class _Parser:
                 if dtok.kind != "INT":
                     raise ExprParseError("expected integer denominator", dtok.pos)
                 self.advance()
-                den = int(dtok.text)
+                den = _int(dtok)
                 if den == 0:
                     raise ExprParseError("zero denominator", dtok.pos)
                 return self.ring.constant(Fraction(num, den))

@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import BrindexError, ExprParseError, SessionError
+from .errors import BrindexError, ComputationError, ExprParseError, SessionError
 from .foliation import (
     T_RING,
     Parametrization,
@@ -39,22 +39,16 @@ from .foliation import (
 )
 from .invariants import (
     HypersurfaceGerm,
+    LocalPair,
     ThetaGenerators,
-    br_relative,
-    bruce_roberts,
-    bruce_roberts_trivial_direct,
     bruce_roberts_user_theta,
-    euler_obstruction_curve,
-    gsv_hyp,
     gsv_icis,
-    invariant_report,
     milnor_form,
     milnor_hyp,
-    radial_index,
     tjurina,
     trivial_evaluation_ideal,
 )
-from .localalg import INFINITY, LocalIdeal, colength
+from .localalg import INFINITY, colength
 from .parsing import parse_form, parse_poly
 from .poly import MPoly, OneForm, Ring, ring
 from .projective import foliation_milnor_sum, global_br_check
@@ -119,6 +113,9 @@ class Session:
         self.curves: dict[str, HypersurfaceGerm] = {}
         self.thetas: dict[str, ThetaGenerators] = {}
         self.params: dict[str, Parametrization] = {}
+        # One LocalPair per (form, germ), so each base colength is computed
+        # once per session, whichever directives ask for it.
+        self.pairs: dict[tuple[OneForm, HypersurfaceGerm], LocalPair] = {}
         self.records: list[ResultRecord] = []
 
     # -- name plumbing ---------------------------------------------------
@@ -155,6 +152,11 @@ class Session:
         if name in self.polys:
             return HypersurfaceGerm(self.polys[name])
         raise SessionError(f"no curve named {name!r}", line)
+
+    def _pair(self, form_name: str, curve_name: str, line: int) -> LocalPair:
+        omega = self._get(self.forms, form_name, "form", line)
+        X = self._germ_of(curve_name, line)
+        return self.pairs.setdefault((omega, X), LocalPair(omega, X))
 
     # -- statement execution ----------------------------------------------
 
@@ -281,9 +283,9 @@ class Session:
 
     def _run_invariants(self, args, line) -> ResultRecord:
         self._need_args(args, (2,), "invariants FORM CURVE", line)
-        omega = self._get(self.forms, args[0], "form", line)
-        X = self._germ_of(args[1], line)
-        rep = invariant_report(omega, X)
+        pair = self._pair(args[0], args[1], line)
+        omega, X = pair.omega, pair.X
+        rep = pair.report()
         values = {"n": rep.n, "multiplicity": rep.multiplicity}
         values.update(rep.as_dict())
         checks = [
@@ -306,41 +308,33 @@ class Session:
 
     def _run_br(self, args, line) -> ResultRecord:
         self._need_args(args, (2, 3), "br FORM CURVE [THETA]", line)
-        omega = self._get(self.forms, args[0], "form", line)
-        X = self._germ_of(args[1], line)
-        value = bruce_roberts(omega, X)
-        checks = [
-            Check.equal(
-                "gsv_decomposition", bruce_roberts_trivial_direct(omega, X), value
-            )
-        ]
+        pair = self._pair(args[0], args[1], line)
+        value = pair.bruce_roberts()
+        checks = [Check.equal("gsv_decomposition", pair.bruce_roberts_trivial(), value)]
         values = {"mu_br": value}
         if len(args) == 3:
             theta = self._get(self.thetas, args[2], "theta", line)
-            via_theta = bruce_roberts_user_theta(omega, X, theta)
+            via_theta = bruce_roberts_user_theta(pair.omega, pair.X, theta)
             values["mu_br_theta"] = via_theta
             checks.append(Check.equal("user_theta_route", via_theta, value))
         return ResultRecord("br", tuple(args), values, checks)
 
     def _run_br_rel(self, args, line) -> ResultRecord:
         self._need_args(args, (2,), "br-rel FORM CURVE", line)
-        omega = self._get(self.forms, args[0], "form", line)
-        X = self._germ_of(args[1], line)
-        value = br_relative(omega, X)
-        mu0 = milnor_form(omega)
+        pair = self._pair(args[0], args[1], line)
+        value = pair.br_relative()
         check = Check.equal(
-            "relative_split", bruce_roberts(omega, X), _fin(mu0 + value)
+            "relative_split", pair.bruce_roberts(), _fin(pair.mu0_omega + value)
         )
         return ResultRecord("br-rel", tuple(args), {"mu_br_rel": value}, [check])
 
     def _run_gsv(self, args, line) -> ResultRecord:
         if len(args) < 2:
             raise SessionError("usage: compute gsv FORM CURVE | gsv FORM F1 F2 ...", line)
-        omega = self._get(self.forms, args[0], "form", line)
         if len(args) == 2:
-            X = self._germ_of(args[1], line)
-            value = gsv_hyp(omega, X)
+            value = self._pair(args[0], args[1], line).gsv
         else:
+            omega = self._get(self.forms, args[0], "form", line)
             fs = [self._get_poly_like(a, line) for a in args[1:]]
             value = gsv_icis(omega, fs)
         return ResultRecord("gsv", tuple(args), {"gsv": _fin(value)}, [])
@@ -353,10 +347,10 @@ class Session:
         elif name in self.curves:
             value = milnor_hyp(self.curves[name])
         elif name in self.polys:
-            f = self.polys[name]
-            value = colength(
-                LocalIdeal.make(f.ring, [f.partial(i) for i in range(f.ring.n)])
-            )
+            df = OneForm.differential(self.polys[name])
+            if df.is_zero:
+                raise ComputationError("a constant polynomial has no Milnor number")
+            value = milnor_form(df)
         else:
             raise SessionError(f"no form, curve or poly named {name!r}", line)
         return ResultRecord("milnor", tuple(args), {"milnor": _fin(value)}, [])
@@ -368,29 +362,23 @@ class Session:
 
     def _run_tang(self, args, line) -> ResultRecord:
         self._need_args(args, (2,), "tang FORM CURVE", line)
-        omega = self._get(self.forms, args[0], "form", line)
-        X = self._germ_of(args[1], line)
-        value = tangency_order(PlaneFoliation.from_form(omega), X)
-        check = Check.equal("tang_equals_gsv", value, _fin(gsv_hyp(omega, X)))
+        pair = self._pair(args[0], args[1], line)
+        value = tangency_order(PlaneFoliation.from_form(pair.omega), pair.X)
+        check = Check.equal("tang_equals_gsv", value, _fin(pair.gsv))
         return ResultRecord("tang", tuple(args), {"tang": value}, [check])
 
     def _run_radial(self, args, line) -> ResultRecord:
         self._need_args(args, (2,), "radial FORM CURVE", line)
-        omega = self._get(self.forms, args[0], "form", line)
-        X = self._germ_of(args[1], line)
-        return ResultRecord(
-            "radial", tuple(args), {"radial": radial_index(omega, X)}, []
-        )
+        pair = self._pair(args[0], args[1], line)
+        return ResultRecord("radial", tuple(args), {"radial": pair.radial_index()}, [])
 
     def _run_euler(self, args, line) -> ResultRecord:
         self._need_args(args, (2,), "euler FORM CURVE", line)
-        omega = self._get(self.forms, args[0], "form", line)
-        X = self._germ_of(args[1], line)
-        eu = euler_obstruction_curve(omega, X)
+        pair = self._pair(args[0], args[1], line)
         values = {
-            "euler_obstruction": eu,
-            "radial": radial_index(omega, X),
-            "multiplicity": X.multiplicity(),
+            "euler_obstruction": pair.euler_obstruction(),
+            "radial": pair.radial_index(),
+            "multiplicity": pair.X.multiplicity(),
         }
         return ResultRecord("euler", tuple(args), values, [])
 
@@ -442,16 +430,13 @@ class Session:
         param = self._get(self.params, args[1], "param", line)
         checks: list[Check] = []
         if len(args) == 3:
-            X = self._germ_of(args[2], line)
-            order = order_pullback(omega, param, X)
-            tang = tangency_order(PlaneFoliation.from_form(omega), X)
-            mu_x = milnor_hyp(X)
+            pair = self._pair(args[0], args[2], line)
+            order = order_pullback(omega, param, pair.X)
+            tang = tangency_order(PlaneFoliation.from_form(omega), pair.X)
             checks.append(
-                Check.equal("pullback_order_identity", tang, _fin(order + mu_x))
+                Check.equal("pullback_order_identity", tang, _fin(order + pair.mu0_X))
             )
-            checks.append(
-                Check.equal("radial_pullback", radial_index(omega, X), order)
-            )
+            checks.append(Check.equal("radial_pullback", pair.radial_index(), order))
         else:
             order = order_pullback(omega, param)
         return ResultRecord(

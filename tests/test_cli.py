@@ -76,6 +76,15 @@ def test_math_domain_error_exits_2(tmp_path, capsys):
     assert "invariant" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["3", "0"])
+def test_milnor_of_a_constant_poly_exits_2(tmp_path, capsys, value):
+    text = f"ring x, y\npoly f = {value}\ncompute milnor f\n"
+    assert main(["run", _write(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert "line 3: a constant polynomial has no Milnor number" in err
+    assert "Traceback" not in err
+
+
 def test_resource_limit_exits_3(tmp_path, capsys):
     text = "ring x, y\ncurve X = y^3 - x^7 + x^5*y\ncompute milnor X\n"
     assert main(["run", _write(tmp_path, text), "--steps", "1"]) == 3
@@ -91,8 +100,13 @@ def test_resource_limit_exits_3(tmp_path, capsys):
         "ring x, y\ntheta T = [x]\ncurve X = y^2 - x^5\nform w = y dx + x dy\n"
         "compute br w X T\n",
         "ring x, y\ncurve X = " + "(" * 3000 + "x" + ")" * 3000 + "\n",
+        "ring x, y\ncurve X = y^2 - x^1001\n",
+        "ring x, y\nform w = (x^600*y^600) dx + x dy\n",
     ],
-    ids=["param-width", "param-off-origin", "theta-width", "deep-nesting"],
+    ids=[
+        "param-width", "param-off-origin", "theta-width", "deep-nesting",
+        "curve-degree", "form-degree",
+    ],
 )
 def test_bad_bindings_exit_1(tmp_path, capsys, text):
     assert main(["run", _write(tmp_path, text)]) == 1

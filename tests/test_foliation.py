@@ -26,7 +26,7 @@ from brindex.foliation import (
     tangency_order,
     verify_blowup_formula,
 )
-from brindex.invariants import HypersurfaceGerm
+from brindex.invariants import HypersurfaceGerm, LocalPair
 from brindex.localalg import INFINITY
 from brindex.parsing import parse_form, parse_poly
 from brindex.poly import OneForm, ring
@@ -226,8 +226,13 @@ def test_strict_transform_reducible_curve_has_no_unique_point():
 def test_delta_invariant_drop_verifies_milnor_drop():
     X = _germ("y^2 - x^5")
     cb = strict_transform_curve(X)
-    q = cb.unique_divisor_point()
-    assert delta_invariant_drop(X, cb, q) == 1
+    germ_q = cb.germ_at(cb.unique_divisor_point())
+    # The drop reads only the germ quantities of each pair, never the form.
+    origin = LocalPair(OneForm.differential(X.phi), X)
+    at_q = LocalPair(OneForm.differential(germ_q.phi), germ_q)
+    assert delta_invariant_drop(origin, at_q, cb.m) == 1
+    with pytest.raises(ComputationError, match="Milnor drop"):
+        delta_invariant_drop(origin, at_q, 3)
 
 
 def test_blowup_ledger_nondicritical():

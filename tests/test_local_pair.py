@@ -1,0 +1,217 @@
+"""LocalPair: base colengths computed once per (form, germ), errors unchanged,
+and cross-check routes that keep computing their own colengths."""
+
+from __future__ import annotations
+
+import sys
+from collections import Counter
+
+import pytest
+
+import brindex.localalg as localalg
+from brindex.errors import BrindexError
+from brindex.foliation import PlaneFoliation, tangency_ideal
+from brindex.invariants import (
+    HypersurfaceGerm,
+    LocalPair,
+    gsv_ideal,
+    trivial_evaluation_ideal,
+)
+from brindex.localalg import LocalIdeal
+from brindex.parsing import parse_form, parse_poly
+from brindex.poly import ring
+from brindex.session import run_session_text
+
+R2 = ring("x", "y")
+
+# The shape of one benchmark problem: a unit times y^p - x^q, a form with a
+# nondegenerate linear part, a parametrized branch, and every directive a
+# user runs on one (form, curve) pair.
+CURVE = "(y^3 - x^8)*(1 + x - 2*y)"
+FORM = "(2*x - y + x*y) dx + (x + 3*y - y^2) dy"
+DEEP_SESSION = f"""
+ring x, y
+curve X = {CURVE}
+form w = {FORM}
+param c = (t^3, t^8)
+compute invariants w X
+compute br w X
+compute br-rel w X
+compute tang w X
+compute radial w X
+compute euler w X
+compute pullback-order w c X
+"""
+
+
+def _patch_colength(monkeypatch, fake) -> None:
+    """Route every module's ``colength`` through ``fake``."""
+    original = localalg.colength
+    for name, module in list(sys.modules.items()):
+        if name.startswith("brindex") and getattr(module, "colength", None) is original:
+            monkeypatch.setattr(module, "colength", fake)
+
+
+def _count_colength(monkeypatch) -> Counter:
+    """Count the colength calls per ideal from here on."""
+    calls: Counter = Counter()
+    original = localalg.colength
+
+    def counting(ideal, *args, **kwargs):
+        calls[ideal] += 1
+        return original(ideal, *args, **kwargs)
+
+    _patch_colength(monkeypatch, counting)
+    return calls
+
+
+def _ideals():
+    X = HypersurfaceGerm(parse_poly(CURVE, R2))
+    omega = parse_form(FORM, R2)
+    return omega, X
+
+
+# -- reuse ---------------------------------------------------------------------
+
+
+def test_a_session_computes_each_base_colength_once(monkeypatch):
+    calls = _count_colength(monkeypatch)
+    records = run_session_text(DEEP_SESSION)
+    assert all(c.passed for r in records for c in r.checks)
+
+    omega, X = _ideals()
+    assert calls == Counter({
+        LocalIdeal.make(R2, list(omega.coeffs)): 1,  # mu0(omega)
+        X.jacobian_ideal(): 1,  # mu0(X)
+        X.tjurina_ideal(): 1,  # tau0(X)
+        gsv_ideal(omega, X): 1,  # GSV
+        # invariants and br each evaluate the trivial route afresh
+        trivial_evaluation_ideal(omega, X): 2,
+        # invariants, tang and pullback-order each compute the tangency order
+        tangency_ideal(PlaneFoliation.from_form(omega), X): 3,
+    })
+    assert sum(calls.values()) == 9
+
+
+def test_a_pair_computes_each_base_quantity_at_most_once(monkeypatch):
+    calls = _count_colength(monkeypatch)
+    omega, X = _ideals()
+    pair = LocalPair(omega, X)
+    first = (pair.report(), pair.bruce_roberts(), pair.br_relative(),
+             pair.radial_index(), pair.euler_obstruction())
+    again = (pair.report(), pair.bruce_roberts(), pair.br_relative(),
+             pair.radial_index(), pair.euler_obstruction())
+    assert first == again
+    assert sorted(calls.values()) == [1, 1, 1, 1]
+
+
+# -- unchanged errors ------------------------------------------------------------
+
+# (curve, form, separatrix, param) of each input.
+INPUTS = {
+    "non-isolated-form": ("y^2 - x^3", "x*y dx + x^2 dy", "x*y", "(t^2, t^3)"),
+    "invariant-curve": ("y^2 - x^3", "-3*x^2 dx + 2*y dy", "y^2 - x^3", "(t^2, t^3)"),
+    "invariant-branch": ("x*y", "(x + y) dx + x dy", "x", "(0, t)"),
+}
+
+BRANCH = "a branch of the hypersurface is invariant by the form"
+WHOLE = "the hypersurface is invariant by the form"
+NOT_ISOLATED = "the 1-form does not have an isolated zero"
+PULLS_BACK = "the form pulls back to zero: the parametrized branch is invariant"
+
+# Outcome per (input, directive): the typed error class and message, or the
+# values of a directive that succeeds (the form saturates to y dx + x dy, and
+# the radial index never needs mu0 of the form).
+EXPECTED = {
+    ("non-isolated-form", "invariants"): ("NonIsolatedError", NOT_ISOLATED),
+    ("non-isolated-form", "br"): ("NonIsolatedError", NOT_ISOLATED),
+    ("non-isolated-form", "br-rel"): ("NonIsolatedError", NOT_ISOLATED),
+    ("non-isolated-form", "tang"): {"tang": 6},
+    ("non-isolated-form", "radial"): {"radial": 6},
+    ("non-isolated-form", "euler"): {"euler_obstruction": 5, "radial": 6, "multiplicity": 2},
+    ("non-isolated-form", "pullback-order"): {"order": 6},
+    ("non-isolated-form", "blowup-verify"): {
+        "nu": 1, "m": 2, "k": 1, "dicritical": False, "mu_br_origin": 5,
+        "mu_br_q": 3, "mu_br_rel_origin": 4, "mu_br_rel_q": 2, "sum_mu_other": 1,
+        "sum_mu_all": 2, "mu0_F": 1, "delta_drop": 1, "q_chart": "xt", "q_coord": "0",
+    },
+    ("non-isolated-form", "gc-check"): {
+        "delta": 0, "mu0_F": 1, "mu0_dsep": 1, "mu_br_F": 5, "mu_br_sep": 5,
+        "mu_br_rel_F": 4, "mu_br_rel_sep": 4, "is_generalized_curve": True,
+    },
+    ("invariant-curve", "invariants"): ("InvariantCurveError", WHOLE),
+    ("invariant-curve", "br"): ("InvariantCurveError", WHOLE),
+    ("invariant-curve", "br-rel"): ("InvariantCurveError", BRANCH),
+    ("invariant-curve", "tang"): (
+        "InvariantCurveError", "the curve is invariant; tangency order is infinite"
+    ),
+    ("invariant-curve", "radial"): ("InvariantCurveError", BRANCH),
+    ("invariant-curve", "euler"): ("InvariantCurveError", BRANCH),
+    ("invariant-curve", "pullback-order"): ("InvariantCurveError", PULLS_BACK),
+    ("invariant-curve", "blowup-verify"): ("InvariantCurveError", WHOLE),
+    ("invariant-curve", "gc-check"): ("InvariantCurveError", WHOLE),
+    ("invariant-branch", "invariants"): ("InvariantCurveError", BRANCH),
+    ("invariant-branch", "br"): ("InvariantCurveError", BRANCH),
+    ("invariant-branch", "br-rel"): ("InvariantCurveError", BRANCH),
+    ("invariant-branch", "tang"): ("InvariantCurveError", "a branch of the curve is invariant"),
+    ("invariant-branch", "radial"): ("InvariantCurveError", BRANCH),
+    ("invariant-branch", "euler"): ("InvariantCurveError", BRANCH),
+    ("invariant-branch", "pullback-order"): ("InvariantCurveError", PULLS_BACK),
+    ("invariant-branch", "blowup-verify"): ("InvariantCurveError", BRANCH),
+    ("invariant-branch", "gc-check"): ("InvariantCurveError", BRANCH),
+}
+
+ARGS = {"pullback-order": "w c X", "gc-check": "w sep X"}
+
+
+@pytest.mark.parametrize("key", sorted(EXPECTED), ids=lambda k: f"{k[0]}-{k[1]}")
+def test_directive_outcomes_are_pinned(key):
+    name, directive = key
+    curve, form, sep, param = INPUTS[name]
+    text = (
+        f"ring x, y\ncurve X = {curve}\nform w = {form}\npoly sep = {sep}\n"
+        f"param c = {param}\ncompute {directive} {ARGS.get(directive, 'w X')}\n"
+    )
+    want = EXPECTED[key]
+    try:
+        (record,) = run_session_text(text)
+    except BrindexError as exc:
+        assert (type(exc).__name__, str(exc)) == (want[0], f"line 6: {want[1]}")
+        return
+    assert record.values == want
+
+
+# -- cross-checks stay independent -----------------------------------------------
+
+
+def _off_by_one_on(monkeypatch, target: LocalIdeal) -> None:
+    original = localalg.colength
+
+    def skewed(ideal, *args, **kwargs):
+        value = original(ideal, *args, **kwargs)
+        return value + 1 if ideal == target else value
+
+    _patch_colength(monkeypatch, skewed)
+
+
+def _failed_checks(records) -> dict[str, set[str]]:
+    return {r.directive: {c.name for c in r.checks if not c.passed} for r in records}
+
+
+def test_a_wrong_trivial_evaluation_colength_is_caught(monkeypatch):
+    omega, X = _ideals()
+    _off_by_one_on(monkeypatch, trivial_evaluation_ideal(omega, X))
+    failed = _failed_checks(run_session_text(DEEP_SESSION))
+    assert failed["invariants"] == {"trivial_evaluation"}
+    assert failed["br"] == {"gsv_decomposition"}
+    assert not failed["br-rel"] and not failed["tang"] and not failed["pullback-order"]
+
+
+def test_a_wrong_tangency_colength_is_caught(monkeypatch):
+    omega, X = _ideals()
+    _off_by_one_on(monkeypatch, tangency_ideal(PlaneFoliation.from_form(omega), X))
+    failed = _failed_checks(run_session_text(DEEP_SESSION))
+    assert failed["invariants"] == {"tang_equals_gsv"}
+    assert failed["tang"] == {"tang_equals_gsv"}
+    assert failed["pullback-order"] == {"pullback_order_identity"}
+    assert not failed["br"] and not failed["br-rel"]

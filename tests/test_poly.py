@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from brindex.errors import ExprParseError
-from brindex.parsing import MAX_NESTING, parse_form, parse_poly
+from brindex.parsing import MAX_DEGREE, MAX_NESTING, parse_form, parse_poly
 from brindex.poly import (
     MPoly,
     OneForm,
@@ -74,6 +74,36 @@ def test_parse_caps_parenthesis_nesting():
     assert exc.value.position == MAX_NESTING
     with pytest.raises(ExprParseError):
         parse_form(nested(MAX_NESTING + 1) + " dx", R2)
+
+
+@pytest.mark.parametrize(
+    "text,position",
+    [
+        ("x^1001", 2),
+        ("x^600*y^600", 5),
+        ("x^99999999999", 2),
+        ("(1 + x)^1001", 8),
+        ("(x^2)^501", 6),
+        ("2^1001", 2),
+        ("x^" + "9" * 5000, 2),
+        ("9" * 5000 + "*x", 0),
+    ],
+)
+def test_parse_caps_degree_before_forming_the_power(text, position):
+    # Each input is rejected from its exponents alone, before any power or
+    # product is formed; the last two overflow int()'s digit limit.  Inputs
+    # whose power would exhaust memory are not run: without the cap this
+    # test must fail, not take the machine down.
+    with pytest.raises(ExprParseError) as exc:
+        parse_poly(text, R2)
+    assert exc.value.position == position
+
+
+def test_parse_accepts_degree_up_to_the_cap():
+    assert MAX_DEGREE == 1000
+    assert parse_poly("x^1000", R2).total_degree() == 1000
+    assert parse_poly("x^500*y^500", R2).total_degree() == 1000
+    assert parse_form("x^1000 dx", R2).coeffs[0].total_degree() == 1000
 
 
 def test_parse_form():
