@@ -34,6 +34,7 @@ from .invariants import (
     gsv_hyp,
     gsv_icis,
     icis_pair_milnor,
+    intersection_mult,
     invariant_report,
     is_invariant,
     milnor_form,
@@ -46,7 +47,6 @@ from .foliation import (
     PlaneFoliation,
     blowup,
     generalized_curve_check,
-    intersection_mult,
     order_pullback,
     strict_transform_curve,
     tangency_order,

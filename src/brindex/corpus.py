@@ -16,9 +16,8 @@ from textwrap import dedent
 
 from .config import get_limits
 from .errors import ComputationError
-from .foliation import PlaneFoliation, tangency_order
 from .invariants import HypersurfaceGerm, LocalPair, trivial_evaluation_ideal
-from .localalg import INFINITY, LocalIdeal, colength, colength_oracle_auto
+from .localalg import INFINITY, LocalIdeal, colength_oracle_auto
 from .parsing import parse_poly
 from .poly import MPoly, OneForm, ring
 from .session import Check, ResultRecord, run_session_text
@@ -335,10 +334,12 @@ def run_identity_sweep(n: int = 25, seed: int = _SWEEP_SEED) -> ResultRecord:
         mu0, gsv = pair.mu0_omega, pair.gsv
         mu_br = pair.bruce_roberts()
         direct = pair.bruce_roberts_trivial()
-        trivial = colength(trivial_evaluation_ideal(omega, X))
-        fol = PlaneFoliation.from_form(omega)
-        tang = tangency_order(fol, X)
-        nu = fol.multiplicity()
+        trivial = direct + pair.tau0
+        tang = pair.tangency()
+        # The foliation of omega: its saturated pair, which is the pair itself
+        # unless the coefficients share a unit factor.
+        saturated, _ = pair.saturation
+        nu = int(min(c.order() for c in saturated.omega.coeffs))
         if mu_br == direct:
             wins["gsv_decomposition"] += 1
         if trivial == gsv + mu0:
@@ -347,7 +348,7 @@ def run_identity_sweep(n: int = 25, seed: int = _SWEEP_SEED) -> ResultRecord:
             wins["relative_split"] += 1
         if tang == gsv:
             wins["tang_equals_gsv"] += 1
-        if fol.milnor() >= nu * (nu + 1) // 2:
+        if saturated.mu0_omega >= nu * (nu + 1) // 2:
             wins["multiplicity_bound"] += 1
         # The oracle checks the standard-basis colengths the pair and the
         # trivial route already computed.

@@ -13,7 +13,7 @@ from fractions import Fraction
 import sympy
 
 from .errors import ComputationError, IrrationalPointError
-from .poly import MPoly, Ring, ring
+from .poly import MPoly, Ring, exact_divide, ring
 
 
 def _symbols(ring_: Ring):
@@ -48,6 +48,27 @@ def poly_gcd(f: MPoly, g: MPoly) -> MPoly:
     if d.is_zero:
         return d
     return d.mono_mul((0,) * d.ring.n, 1 / d.leading_coeff())
+
+
+def saturate(*polys: MPoly) -> tuple[tuple[MPoly, ...], MPoly]:
+    """Divide out the gcd of the nonzero polys; returns (quotients, gcd).
+
+    The gcd is canonical (local leading coefficient 1), so coprime inputs come
+    back unchanged; zero entries stay zero.
+    """
+    nonzero = [p for p in polys if not p.is_zero]
+    if not nonzero:
+        raise ComputationError("the zero form does not define a foliation")
+    g = nonzero[0]
+    # A lone nonzero entry still goes through poly_gcd, which canonicalizes it.
+    for p in nonzero[1:] or [g.ring.zero()]:
+        g = poly_gcd(g, p)
+    if g.total_degree() == 0:
+        return tuple(polys), g
+    quotients = tuple(p if p.is_zero else exact_divide(p, g) for p in polys)
+    if any(q is None for q in quotients):
+        raise ComputationError("gcd division failed; inconsistent input")
+    return quotients, g
 
 
 def is_unit_germ(f: MPoly) -> bool:

@@ -18,36 +18,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .elim import poly_gcd, rational_roots
+from .elim import poly_gcd, rational_roots, saturate
 from .errors import (
     ComputationError,
     InvariantCurveError,
     IrrationalPointError,
     NonIsolatedError,
 )
-from .invariants import HypersurfaceGerm, LocalPair, is_invariant
+from .invariants import HypersurfaceGerm, LocalPair
 from .localalg import INFINITY, LocalIdeal, colength
-from .poly import MPoly, OneForm, Ring, ring
+from .poly import MPoly, OneForm, Ring, exact_divide, ring
 
 CHART_XT = ring("x", "t")
 CHART_UY = ring("u", "y")
-
-
-def saturate(A: MPoly, B: MPoly) -> tuple[MPoly, MPoly, MPoly]:
-    """Divide out gcd(A, B); returns (A', B', gcd).  The gcd is canonical
-    (local leading coefficient 1), so coprime pairs come back unchanged."""
-    if A.is_zero and B.is_zero:
-        raise ComputationError("the zero form does not define a foliation")
-    g = poly_gcd(A, B)
-    if g.total_degree() == 0:
-        return A, B, g
-    from .poly import exact_divide
-
-    A2 = A if A.is_zero else exact_divide(A, g)
-    B2 = B if B.is_zero else exact_divide(B, g)
-    if A2 is None or B2 is None:
-        raise ComputationError("gcd division failed; inconsistent input")
-    return A2, B2, g
 
 
 @dataclass(frozen=True)
@@ -61,7 +44,7 @@ class PlaneFoliation:
     def __post_init__(self):
         if self.ring.n != 2:
             raise ComputationError("plane foliations need exactly two variables")
-        A2, B2, _ = saturate(self.A, self.B)
+        (A2, B2), _ = saturate(self.A, self.B)
         object.__setattr__(self, "A", A2)
         object.__setattr__(self, "B", B2)
 
@@ -96,27 +79,9 @@ class PlaneFoliation:
         )
 
 
-def tangency_ideal(F: PlaneFoliation, X: HypersurfaceGerm) -> LocalIdeal:
-    return LocalIdeal.make(F.ring, [X.phi, F.tangent_field_applied(X.phi)])
-
-
 def tangency_order(F: PlaneFoliation, X: HypersurfaceGerm) -> int:
-    """tang(F, X, 0) = colength <phi, v(phi)>; X must not be invariant."""
-    if X.ring != F.ring:
-        raise ValueError("foliation and curve live in different rings")
-    if is_invariant(F.form, X):
-        raise InvariantCurveError("the curve is invariant; tangency order is infinite")
-    value = colength(tangency_ideal(F, X))
-    if value == INFINITY:
-        raise InvariantCurveError("a branch of the curve is invariant")
-    return int(value)
-
-
-def intersection_mult(f: MPoly, g: MPoly) -> int | float:
-    """Local intersection multiplicity i_0(f, g) = colength <f, g>."""
-    if f.ring != g.ring:
-        raise ValueError("mixed rings in intersection multiplicity")
-    return colength(LocalIdeal.make(f.ring, [f, g]))
+    """tang(F, X, 0): the GSV index of the saturated form along X."""
+    return LocalPair(F.form, X).tangency()
 
 
 T_RING = ring("t")
@@ -292,14 +257,13 @@ def exceptional_singularities(bl: BlowupResult) -> list[tuple[ExceptionalPoint, 
                 f"irrational singularity on the exceptional divisor: {exc}"
             ) from exc
         for t0, _ in roots:
-            local = Fxt.translate((Fraction(0), t0))
-            mu = colength(LocalIdeal.make(CHART_XT, [local.A, local.B]))
+            mu = Fxt.translate((Fraction(0), t0)).milnor()
             if mu == INFINITY:
                 raise NonIsolatedError("non-isolated singularity on the divisor")
             out.append((ExceptionalPoint("xt", t0), int(mu)))
     Fuy = bl.chart_uy
     if Fuy.A.constant_term() == 0 and Fuy.B.constant_term() == 0:
-        mu = colength(LocalIdeal.make(CHART_UY, [Fuy.A, Fuy.B]))
+        mu = Fuy.milnor()
         if mu == INFINITY:
             raise NonIsolatedError("non-isolated singularity on the divisor")
         out.append((ExceptionalPoint("uy", Fraction(0)), int(mu)))
@@ -517,8 +481,6 @@ def generalized_curve_check(
     if f_sep.ring != F.ring:
         raise ValueError("separatrix equation must live in the foliation's ring")
     sep_wedge = F.A * f_sep.partial(1) - F.B * f_sep.partial(0)
-    from .poly import exact_divide
-
     if not sep_wedge.is_zero and exact_divide(sep_wedge, f_sep) is None:
         raise ComputationError("f_sep is not invariant by the foliation")
     HypersurfaceGerm(f_sep)  # validates reducedness for the plane case

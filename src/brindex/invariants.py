@@ -11,6 +11,7 @@ Everything reduces to colengths of explicitly constructed ideals:
 * relative version  GSV - tau0
 * radial index      GSV - mu0(X)
 * Euler obstruction (plane curves) radial index - (multiplicity - 1)
+* tangency order    (plane curves) GSV of the saturated form
 
 The identities connecting the routes are exercised by the test suite on both
 curated and randomized inputs.
@@ -22,7 +23,7 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .elim import coprime_at_origin
+from .elim import coprime_at_origin, saturate
 from .errors import (
     ComputationError,
     InvariantCurveError,
@@ -120,6 +121,13 @@ def tjurina(X: HypersurfaceGerm) -> int | float:
     return colength(X.tjurina_ideal())
 
 
+def intersection_mult(f: MPoly, g: MPoly) -> int | float:
+    """Local intersection multiplicity i_0(f, g) = colength <f, g>."""
+    if f.ring != g.ring:
+        raise ValueError("mixed rings in intersection multiplicity")
+    return colength(LocalIdeal.make(f.ring, [f, g]))
+
+
 def is_invariant(omega: OneForm, X: HypersurfaceGerm) -> bool:
     """True when omega ∧ dphi vanishes on X, i.e. phi divides every
     coefficient of the wedge; then X is invariant by the foliation of omega."""
@@ -203,27 +211,26 @@ def icis_pair_milnor(X: HypersurfaceGerm, f: MPoly) -> int:
         raise ValueError("function and hypersurface live in different rings")
     if f.constant_term() != 0:
         raise ComputationError("the function must vanish at the origin")
-    mu_x = milnor_hyp(X)
-    if mu_x == INFINITY:
+    pair = LocalPair(OneForm.differential(f), X)
+    if pair.mu0_X == INFINITY:
         raise NonIsolatedError("the hypersurface singularity is not isolated")
-    gsv = gsv_hyp(OneForm.differential(f), X)
-    if gsv == INFINITY:
+    if pair.gsv == INFINITY:
         raise InvariantCurveError("(phi, f) is not an ICIS pair")
-    return int(gsv - mu_x)
+    return int(pair.gsv - pair.mu0_X)
 
 
 def br_function(f: MPoly, X: HypersurfaceGerm) -> int:
     """mu_BR(f, X) for a function: mu_BR of its differential.
 
-    Also assembled from mu0(f) + mu0(X) + mu0(phi, f) - tau0(X); the two
-    routes must agree and the mismatch is reported as an internal error.
+    The GSV route is compared with the trivial tangent-field evaluation, an
+    independent ideal; a mismatch is reported as an internal error.
     """
     pair = LocalPair(OneForm.differential(f), X)
     direct = pair.bruce_roberts()
-    parts = pair.mu0_omega + pair.mu0_X + icis_pair_milnor(X, f) - pair.tau0
-    if direct != parts:
+    trivial = pair.bruce_roberts_trivial()
+    if direct != trivial:
         raise ComputationError(
-            f"function Bruce-Roberts routes disagree: {direct} vs {parts}"
+            f"function Bruce-Roberts routes disagree: {direct} vs {trivial}"
         )
     return direct
 
@@ -265,9 +272,10 @@ _REJECT = {
 
 class LocalPair:
     """A (form, hypersurface) pair at the origin.  mu0(omega), mu0(X), tau0(X),
-    GSV(omega, X) and the invariance test are each computed at most once; every
-    invariant is a difference of them and raises the typed error of the first
-    base quantity it needs that fails, checked in a fixed order."""
+    GSV(omega, X), the invariance test and the saturation are each computed at
+    most once; every invariant is a difference of them and raises the typed
+    error of the first base quantity it needs that fails, checked in a fixed
+    order."""
 
     def __init__(self, omega: OneForm, X: HypersurfaceGerm):
         self.omega = omega
@@ -278,6 +286,16 @@ class LocalPair:
     tau0 = cached_property(lambda self: tjurina(self.X))
     gsv = cached_property(lambda self: gsv_hyp(self.omega, self.X))
     invariant = cached_property(lambda self: is_invariant(self.omega, self.X))
+
+    @cached_property
+    def saturation(self) -> tuple["LocalPair", int | float]:
+        """The pair of omega/g along X, and i_0(g, phi), where g is the
+        common factor of omega's coefficients; (self, 0) when g is constant."""
+        coeffs, g = saturate(*self.omega.coeffs)
+        if g.total_degree() == 0:
+            return self, 0
+        saturated = LocalPair(OneForm(self.omega.ring, coeffs), self.X)
+        return saturated, intersection_mult(g, self.X.phi)
 
     def _require(self, *names: str) -> None:
         for name in names:
@@ -301,6 +319,19 @@ class LocalPair:
                 "trivial tangent-field evaluation has infinite colength"
             )
         return int(value - self.tau0)
+
+    def tangency(self) -> int:
+        """Plane curves only: the tangency order tang(F, X) of the foliation
+        F of omega, which is the GSV index of the saturated pair.  GSV(omega)
+        itself is tang(F, X) + i_0(g, phi)."""
+        if self.X.n != 2:
+            raise ComputationError("plane foliations need exactly two variables")
+        saturated, _ = self.saturation
+        if saturated.invariant:
+            raise InvariantCurveError("the curve is invariant; tangency order is infinite")
+        if saturated.gsv == INFINITY:
+            raise InvariantCurveError("a branch of the curve is invariant")
+        return int(saturated.gsv)
 
     def br_relative(self) -> int:
         """mu_BR^- = GSV - tau0(X)."""

@@ -17,42 +17,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .elim import poly_gcd, rational_common_zeros, rational_roots
+from .elim import is_squarefree, poly_gcd, rational_common_zeros, rational_roots, saturate
 from .errors import (
     ComputationError,
     InvariantCurveError,
     IrrationalPointError,
 )
 from .foliation import PlaneFoliation
-from .invariants import HypersurfaceGerm, tjurina
-from .localalg import INFINITY, LocalIdeal, colength
-from .poly import MPoly, OneForm, exact_divide, ring
+from .invariants import HypersurfaceGerm, LocalPair
+from .localalg import INFINITY
+from .poly import MPoly, OneForm, ring
 
 PROJ_RING = ring("x", "y", "z")
 CHART_X = ring("u", "v")  # (u, v) = (y/x, z/x), divisor at infinity is v = 0
 CHART_Y = ring("s", "w")  # (s, w) = (x/y, z/y)
-
-
-def _saturate_triple(polys: list[MPoly]) -> list[MPoly]:
-    g = None
-    for p in polys:
-        if p.is_zero:
-            continue
-        g = p if g is None else poly_gcd(g, p)
-    if g is None:
-        raise ComputationError("the zero form does not define a foliation")
-    if g.total_degree() == 0:
-        return polys
-    out = []
-    for p in polys:
-        if p.is_zero:
-            out.append(p)
-            continue
-        q = exact_divide(p, g)
-        if q is None:
-            raise ComputationError("saturation failed; inconsistent gcd")
-        out.append(q)
-    return out
 
 
 @dataclass(frozen=True)
@@ -75,7 +53,7 @@ class ProjectiveFoliation:
         P = z * Ahat
         Q = z * Bhat
         R = -(x * Ahat + y * Bhat)
-        P, Q, R = _saturate_triple([P, Q, R])
+        (P, Q, R), _ = saturate(P, Q, R)
         euler = x * P + y * Q + z * R
         if not euler.is_zero:
             raise ComputationError("Euler relation failed after homogenization")
@@ -117,8 +95,6 @@ class ProjectiveCurve:
 
     @classmethod
     def from_affine(cls, phi: MPoly) -> "ProjectiveCurve":
-        from .elim import is_squarefree
-
         if phi.is_zero or phi.total_degree() < 1:
             raise ComputationError("curve equation must be nonconstant")
         r = phi.total_degree()
@@ -191,20 +167,17 @@ def _contribution_at(
     proj_point: tuple[Fraction, Fraction, Fraction],
 ) -> PointContribution:
     local = fol.translate(chart_point)
-    mu = colength(LocalIdeal.make(local.ring, [local.A, local.B]))
+    mu = local.milnor()
     if mu == INFINITY:
         raise ComputationError(f"non-isolated foliation singularity at {proj_point}")
     phi_local = curve_chart.translate(chart_point)
     if phi_local.constant_term() != 0:
         return PointContribution(proj_point, int(mu), 0, 0)
-    germ = HypersurfaceGerm(phi_local)
-    tang = colength(
-        LocalIdeal.make(local.ring, [germ.phi, local.tangent_field_applied(germ.phi)])
-    )
-    if tang == INFINITY:
+    # The local form is saturated, so its GSV index is the tangency order.
+    pair = LocalPair(local.form, HypersurfaceGerm(phi_local))
+    if pair.gsv == INFINITY:
         raise InvariantCurveError(f"a branch of the curve at {proj_point} is invariant")
-    tau = tjurina(germ)
-    return PointContribution(proj_point, int(mu), int(tang), int(tau))
+    return PointContribution(proj_point, int(mu), int(pair.gsv), int(pair.tau0))
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ from .foliation import (
     blowup,
     generalized_curve_check,
     order_pullback,
-    tangency_order,
     verify_blowup_formula,
 )
 from .invariants import (
@@ -101,6 +100,11 @@ def _fin(value) -> object:
     if value == INFINITY:
         return "infinity"
     return int(value)
+
+
+def _tang_plus_i0(pair: LocalPair) -> object:
+    """tang(F, X) + i_0(g, phi), which equals GSV(omega, X) for omega = g * omega'."""
+    return _fin(pair.tangency() + pair.saturation[1])
 
 
 class Session:
@@ -284,26 +288,19 @@ class Session:
     def _run_invariants(self, args, line) -> ResultRecord:
         self._need_args(args, (2,), "invariants FORM CURVE", line)
         pair = self._pair(args[0], args[1], line)
-        omega, X = pair.omega, pair.X
         rep = pair.report()
         values = {"n": rep.n, "multiplicity": rep.multiplicity}
         values.update(rep.as_dict())
         checks = [
             Check.equal(
                 "trivial_evaluation",
-                _fin(colength(trivial_evaluation_ideal(omega, X))),
+                _fin(colength(trivial_evaluation_ideal(pair.omega, pair.X))),
                 rep.gsv + rep.mu0_omega,
             ),
             Check.equal("relative_split", rep.mu_br, rep.mu0_omega + rep.mu_br_rel),
         ]
         if rep.n == 2:
-            checks.append(
-                Check.equal(
-                    "tang_equals_gsv",
-                    tangency_order(PlaneFoliation.from_form(omega), X),
-                    rep.gsv,
-                )
-            )
+            checks.append(Check.equal("tang_equals_gsv", _tang_plus_i0(pair), rep.gsv))
         return ResultRecord("invariants", tuple(args), values, checks)
 
     def _run_br(self, args, line) -> ResultRecord:
@@ -363,8 +360,8 @@ class Session:
     def _run_tang(self, args, line) -> ResultRecord:
         self._need_args(args, (2,), "tang FORM CURVE", line)
         pair = self._pair(args[0], args[1], line)
-        value = tangency_order(PlaneFoliation.from_form(pair.omega), pair.X)
-        check = Check.equal("tang_equals_gsv", value, _fin(pair.gsv))
+        value = pair.tangency()
+        check = Check.equal("tang_equals_gsv", _tang_plus_i0(pair), _fin(pair.gsv))
         return ResultRecord("tang", tuple(args), {"tang": value}, [check])
 
     def _run_radial(self, args, line) -> ResultRecord:
@@ -432,9 +429,10 @@ class Session:
         if len(args) == 3:
             pair = self._pair(args[0], args[2], line)
             order = order_pullback(omega, param, pair.X)
-            tang = tangency_order(PlaneFoliation.from_form(omega), pair.X)
             checks.append(
-                Check.equal("pullback_order_identity", tang, _fin(order + pair.mu0_X))
+                Check.equal(
+                    "pullback_order_identity", _tang_plus_i0(pair), _fin(order + pair.mu0_X)
+                )
             )
             checks.append(Check.equal("radial_pullback", pair.radial_index(), order))
         else:

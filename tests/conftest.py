@@ -19,9 +19,7 @@ from brindex.foliation import (
     T_RING,
     Parametrization,
     PlaneFoliation,
-    intersection_mult,
     order_pullback,
-    tangency_ideal,
     tangency_order,
 )
 from brindex.invariants import (
@@ -29,6 +27,8 @@ from brindex.invariants import (
     bruce_roberts,
     bruce_roberts_trivial_direct,
     gsv_hyp,
+    gsv_ideal,
+    intersection_mult,
     is_invariant,
     milnor_form,
     milnor_hyp,
@@ -181,7 +181,8 @@ def suite_b():
 
     Each case pairs the curve with non-invariant 1-forms and records the
     pullback order, the tangency order, the radial index, and the oracle
-    cross-check data for the tangency ideal.
+    cross-check data for the tangency ideal, which is the GSV ideal of the
+    saturated form.
     """
     rng = random.Random(SUITE_A_SEED + 1)
     curves: list[tuple[MPoly, Parametrization]] = []
@@ -213,7 +214,7 @@ def suite_b():
                 order = order_pullback(omega, pm, X)
             except InvariantCurveError:
                 continue
-            tang_ideal = tangency_ideal(fol, X)
+            tang_ideal = gsv_ideal(fol.form, X)
             cases.append(
                 {
                     "phi": str(phi),

@@ -19,14 +19,13 @@ from brindex.foliation import (
     delta_invariant_drop,
     exceptional_singularities,
     generalized_curve_check,
-    intersection_mult,
     order_pullback,
-    saturate,
     strict_transform_curve,
     tangency_order,
     verify_blowup_formula,
 )
-from brindex.invariants import HypersurfaceGerm, LocalPair
+from brindex.elim import saturate
+from brindex.invariants import HypersurfaceGerm, LocalPair, intersection_mult
 from brindex.localalg import INFINITY
 from brindex.parsing import parse_form, parse_poly
 from brindex.poly import OneForm, ring
@@ -52,11 +51,11 @@ def _param(*exprs: str) -> Parametrization:
 def test_saturate_strips_the_common_factor():
     A = parse_poly("x*y^2", R2)
     B = parse_poly("x^2*y", R2)
-    a, b, common = saturate(A, B)
+    (a, b), common = saturate(A, B)
     assert common * a == A and common * b == B
     assert common == parse_poly("x*y", R2)
     coprime = saturate(a, b)
-    assert coprime == (a, b, R2.one())
+    assert coprime == ((a, b), R2.one())
 
 
 def test_foliation_from_form_saturates():

@@ -1,5 +1,6 @@
 """LocalPair: base colengths computed once per (form, germ), errors unchanged,
-and cross-check routes that keep computing their own colengths."""
+cross-check routes that keep computing their own colengths, and the tangency
+order of a form with a common factor."""
 
 from __future__ import annotations
 
@@ -7,19 +8,21 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import brindex.localalg as localalg
-from brindex.errors import BrindexError
-from brindex.foliation import PlaneFoliation, tangency_ideal
+from brindex.errors import BrindexError, ComputationError, InvariantCurveError
 from brindex.invariants import (
     HypersurfaceGerm,
     LocalPair,
+    br_function,
     gsv_ideal,
     trivial_evaluation_ideal,
 )
 from brindex.localalg import LocalIdeal
 from brindex.parsing import parse_form, parse_poly
-from brindex.poly import ring
+from brindex.poly import OneForm, ring
 from brindex.session import run_session_text
 
 R2 = ring("x", "y")
@@ -87,10 +90,8 @@ def test_a_session_computes_each_base_colength_once(monkeypatch):
         gsv_ideal(omega, X): 1,  # GSV
         # invariants and br each evaluate the trivial route afresh
         trivial_evaluation_ideal(omega, X): 2,
-        # invariants, tang and pullback-order each compute the tangency order
-        tangency_ideal(PlaneFoliation.from_form(omega), X): 3,
     })
-    assert sum(calls.values()) == 9
+    assert sum(calls.values()) == 6
 
 
 def test_a_pair_computes_each_base_quantity_at_most_once(monkeypatch):
@@ -103,6 +104,24 @@ def test_a_pair_computes_each_base_quantity_at_most_once(monkeypatch):
              pair.radial_index(), pair.euler_obstruction())
     assert first == again
     assert sorted(calls.values()) == [1, 1, 1, 1]
+
+
+def test_a_saturated_pair_is_its_own_saturation(monkeypatch):
+    calls = _count_colength(monkeypatch)
+    omega, X = _ideals()
+    pair = LocalPair(omega, X)
+    assert pair.saturation == (pair, 0)
+    assert pair.tangency() == pair.gsv
+    assert calls == Counter({gsv_ideal(omega, X): 1})
+
+
+def test_a_common_factor_splits_off_its_intersection_number():
+    X = HypersurfaceGerm(parse_poly("y^2 - x^3", R2))
+    pair = LocalPair(parse_form("x*y dx + x^2 dy", R2), X)
+    saturated, i0 = pair.saturation
+    assert saturated.omega == parse_form("y dx + x dy", R2)
+    assert i0 == 2  # i_0(x, y^2 - x^3)
+    assert (pair.tangency(), pair.gsv) == (6, 8)
 
 
 # -- unchanged errors ------------------------------------------------------------
@@ -207,11 +226,97 @@ def test_a_wrong_trivial_evaluation_colength_is_caught(monkeypatch):
     assert not failed["br-rel"] and not failed["tang"] and not failed["pullback-order"]
 
 
-def test_a_wrong_tangency_colength_is_caught(monkeypatch):
+def test_a_wrong_gsv_colength_is_caught(monkeypatch):
     omega, X = _ideals()
-    _off_by_one_on(monkeypatch, tangency_ideal(PlaneFoliation.from_form(omega), X))
+    _off_by_one_on(monkeypatch, gsv_ideal(omega, X))
     failed = _failed_checks(run_session_text(DEEP_SESSION))
-    assert failed["invariants"] == {"tang_equals_gsv"}
-    assert failed["tang"] == {"tang_equals_gsv"}
-    assert failed["pullback-order"] == {"pullback_order_identity"}
-    assert not failed["br"] and not failed["br-rel"]
+    assert failed["invariants"] == {"trivial_evaluation"}
+    assert failed["br"] == {"gsv_decomposition"}
+    assert failed["pullback-order"] == {"pullback_order_identity", "radial_pullback"}
+    # For a saturated form tang is the GSV index by definition.
+    assert not failed["tang"] and not failed["br-rel"]
+
+
+# The form x * (y dx + x dy): tang 6, i_0(x, y^2 - x^3) = 2, GSV 8.
+NON_SATURATED_SESSION = """
+ring x, y
+curve X = y^2 - x^3
+form w = x*y dx + x^2 dy
+param c = (t^2, t^3)
+compute tang w X
+compute pullback-order w c X
+"""
+
+
+def test_a_wrong_intersection_number_is_caught(monkeypatch):
+    i0_ideal = LocalIdeal.make(R2, [parse_poly("x", R2), parse_poly("y^2 - x^3", R2)])
+    _off_by_one_on(monkeypatch, i0_ideal)
+    failed = _failed_checks(run_session_text(NON_SATURATED_SESSION))
+    assert failed == {
+        "tang": {"tang_equals_gsv"},
+        "pullback-order": {"pullback_order_identity"},
+    }
+
+
+def test_function_routes_compare_independent_ideals(monkeypatch):
+    X = HypersurfaceGerm(parse_poly("y^2 - x^3", R2))
+    f = parse_poly("x^2 + y^3", R2)
+    assert br_function(f, X) == 5
+    _off_by_one_on(monkeypatch, trivial_evaluation_ideal(OneForm.differential(f), X))
+    with pytest.raises(ComputationError, match="function Bruce-Roberts routes disagree"):
+        br_function(f, X)
+
+
+# -- tangency of forms with a common factor -----------------------------------------
+
+
+def _checks(records) -> list[tuple[str, object, object, bool]]:
+    return [(c.name, c.lhs, c.rhs, c.passed) for r in records for c in r.checks]
+
+
+def test_a_common_factor_is_added_back_to_the_tangency_order():
+    records = run_session_text(NON_SATURATED_SESSION)
+    assert [r.values for r in records] == [{"tang": 6}, {"order": 6}]
+    assert _checks(records) == [
+        ("tang_equals_gsv", 8, 8, True),
+        ("pullback_order_identity", 8, 8, True),
+        ("radial_pullback", 6, 6, True),
+    ]
+
+
+def test_a_common_factor_along_a_branch_makes_both_sides_infinite():
+    (record,) = run_session_text(
+        "ring x, y\ncurve L = y - x^2\n"
+        "form w = x*(y - x^2) dx + y*(y - x^2) dy\ncompute tang w L\n"
+    )
+    assert record.values == {"tang": 1}
+    assert _checks([record]) == [("tang_equals_gsv", "infinity", "infinity", True)]
+
+
+# (p, q) of the pool curves y^p - x^q with coprime exponents.
+MONOMIAL_CURVES = ((2, 3), (2, 5), (3, 4), (3, 5), (2, 7), (3, 7))
+COEFF = st.integers(-2, 2)
+
+
+@given(
+    curve=st.sampled_from(MONOMIAL_CURVES),
+    g=st.sampled_from(("1 + x", "x", "y", "x + y^2")),
+    a=st.tuples(COEFF, COEFF, COEFF),
+    b=st.tuples(COEFF, COEFF, COEFF),
+)
+def test_tangency_ignores_a_common_factor(curve, g, a, b):
+    assume(any(a) or any(b))
+    p, q = curve
+    A = f"({a[0]})*x + ({a[1]})*y + ({a[2]})*x*y"
+    B = f"({b[0]})*x + ({b[1]})*y + ({b[2]})*y^2"
+    head = f"ring x, y\ncurve X = y^{p} - x^{q}\nparam c = (t^{p}, t^{q})\n"
+    directives = "compute tang w X\ncompute pullback-order w c X\n"
+    try:
+        base = run_session_text(f"{head}form w = {A} dx + {B} dy\n{directives}")
+    except InvariantCurveError:
+        assume(False)  # an invariant branch has no finite tangency order
+    records = run_session_text(
+        f"{head}form w = ({g})*({A}) dx + ({g})*({B}) dy\n{directives}"
+    )
+    assert all(c.passed for r in base + records for c in r.checks)
+    assert records[0].values["tang"] == base[0].values["tang"]
