@@ -23,6 +23,16 @@ from .errors import (
 from .session import render_human, render_jsonl, run_session_text
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="brindex",
@@ -42,8 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     for p in (run_p, corpus_p):
         p.add_argument("--json", action="store_true", help="JSON Lines output")
-        p.add_argument("--steps", type=int, help="normal-form reduction budget")
-        p.add_argument("--bound", type=int, help="colength oracle degree cap")
+        p.add_argument("--steps", type=_positive_int, help="normal-form reduction budget")
+        p.add_argument("--bound", type=_positive_int, help="colength oracle degree cap")
     return parser
 
 

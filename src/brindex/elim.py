@@ -1,41 +1,257 @@
-"""Commutative-algebra plumbing built on sympy's exact polynomial domain.
+"""Commutative-algebra plumbing on exact integer polynomials.
 
-Only utility operations live here (gcd, resultants, rational root
-extraction); the standard-basis reduction engine and the colength oracle do
-their arithmetic independently of this module (in two variables colength
+Only utility operations live here (gcd and saturation, resultants, rational
+root extraction); the standard-basis reduction engine and the colength oracle
+do their arithmetic independently of this module (in two variables colength
 consults the gcd once, to decide finiteness, after two truncations failed).
+
+Each routine clears the denominators of its ``MPoly`` arguments and works on
+dense polynomials over Z.  A univariate polynomial is a list of ints, constant
+term first, with no trailing zeros (zero is ``[]``).  A polynomial in k
+variables is recursive dense: the list, over the powers of its main variable,
+of its coefficients in the other k - 1 variables; level 0 is a plain int.
+
+Three conventions show in the output:
+
+* ``poly_gcd`` scales the gcd so that its local leading coefficient is 1;
+* ``resultant(f, g)`` is the Sylvester determinant Res(f, g) when
+  deg f >= deg g and Res(g, f), with no sign correction, otherwise;
+* an ``IrrationalPointError`` from ``rational_roots`` names the first
+  irreducible factor of degree >= 2 in the order (degree, multiplicity,
+  coefficients from the leading one), primitive with a positive leading
+  coefficient, written like ``2*x**3 - 3*x**2 - 18*x - 25``.
+
+References: Geddes, Czapor and Labahn, *Algorithms for Computer Algebra*,
+ch. 7 (primitive PRS gcd) and 9 (resultants); von zur Gathen and Gerhard,
+*Modern Computer Algebra*, ch. 14 and 15 (Berlekamp, Hensel lifting and
+factor recombination); Loos, "Computing rational zeros of integral
+polynomials by p-adic expansion" (SIAM J. Comput. 1983).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-import sympy
+from itertools import combinations
+from math import gcd, lcm
 
 from .errors import ComputationError, IrrationalPointError
 from .poly import MPoly, Ring, exact_divide, ring
 
-
-def _symbols(ring_: Ring):
-    return sympy.symbols(ring_.names)
+# -- recursive dense polynomials over Z ----------------------------------------
 
 
-def to_sympy(f: MPoly) -> sympy.Poly:
-    syms = _symbols(f.ring)
-    if f.ring.n == 1:
-        syms = (syms,) if not isinstance(syms, tuple) else syms
-    rep = {e: sympy.Rational(c.numerator, c.denominator) for e, c in f.terms()}
-    if not rep:
-        return sympy.Poly(0, *syms, domain="QQ")
-    return sympy.Poly.from_dict(rep, *syms, domain="QQ")
+def _zero(k: int):
+    return 0 if k == 0 else []
 
 
-def from_sympy(p: sympy.Poly, ring_: Ring) -> MPoly:
+def _one(k: int):
+    return 1 if k == 0 else [_one(k - 1)]
+
+
+def _strip(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _add(a, b, k: int):
+    if k == 0:
+        return a + b
+    if len(a) < len(b):
+        a, b = b, a
+    if k == 1:
+        out = [x + y for x, y in zip(a, b)]
+    else:
+        out = [_add(x, y, k - 1) for x, y in zip(a, b)]
+    out.extend(a[len(b):])
+    return _strip(out)
+
+
+def _neg(a, k: int):
+    if k <= 1:
+        return -a if k == 0 else [-x for x in a]
+    return [_neg(x, k - 1) for x in a]
+
+
+def _sub(a, b, k: int):
+    return _add(a, _neg(b, k), k)
+
+
+def _mul(a, b, k: int):
+    if k == 0:
+        return a * b
+    if not a or not b:
+        return []
+    if k == 1:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return out
+    out = [[] for _ in range(len(a) + len(b) - 1)]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = _add(out[i + j], _mul(x, y, k - 1), k - 1)
+    return out
+
+
+def _quo(a, b, k: int):
+    """The exact quotient a / b, or None when b does not divide a."""
+    if k == 0:
+        q, r = divmod(a, b)
+        return None if r else q
+    db = len(b) - 1
+    if len(a) <= db:
+        return [] if not a else None
+    a = list(a)
+    lb = b[-1]
+    if k == 1:
+        q = [0] * (len(a) - db)
+        for s in range(len(q) - 1, -1, -1):
+            c, r = divmod(a[s + db], lb)
+            if r:
+                return None
+            q[s] = c
+            if c:
+                for i, y in enumerate(b):
+                    a[s + i] -= c * y
+        return None if any(a[:db]) else q
+    q = [_zero(k - 1)] * (len(a) - db)
+    while a:
+        s = len(a) - 1 - db
+        if s < 0:
+            return None
+        c = _quo(a[-1], lb, k - 1)
+        if c is None:
+            return None
+        q[s] = c
+        for i, y in enumerate(b):
+            a[s + i] = _sub(a[s + i], _mul(c, y, k - 1), k - 1)
+        _strip(a)
+    return q
+
+
+def _prem(a, b, k: int):
+    """A pseudo-remainder of a by b: lc(b)^e * a mod b for some e >= 0."""
+    db = len(b) - 1
+    lb = b[-1]
+    r = list(a)
+    while len(r) > db:
+        s = len(r) - 1 - db
+        lr = r[-1]
+        r = [_mul(x, lb, k - 1) for x in r]
+        for i, y in enumerate(b):
+            r[s + i] = _sub(r[s + i], _mul(lr, y, k - 1), k - 1)
+        _strip(r)
+    return r
+
+
+def _constant(a, k: int):
+    """The int value of a when a is free of every variable, else None."""
+    while k:
+        if len(a) != 1:
+            return None
+        a, k = a[0], k - 1
+    return a
+
+
+def _content(a, k: int):
+    """gcd of the coefficients of a in its main variable."""
+    if k == 1:
+        return gcd(*a)
+    c = []
+    for x in a:
+        c = _gcd(c, x, k - 1)
+        if _constant(c, k - 1) in (1, -1):
+            break
+    return c
+
+
+def _primitive(a, k: int):
+    """a divided by its content, up to sign."""
+    c = _content(a, k)
+    if _constant(c, k - 1) in (1, -1):
+        return a
+    return [_quo(x, c, k - 1) for x in a]
+
+
+def _gcd(a, b, k: int):
+    """gcd up to sign by the primitive polynomial remainder sequence."""
+    if k == 0:
+        return gcd(a, b)
+    if not a:
+        return b
+    if not b:
+        return a
+    c = _gcd(_content(a, k), _content(b, k), k - 1)
+    a, b = _primitive(a, k), _primitive(b, k)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _prem(a, b, k)
+        if not r:
+            break
+        a, b = b, _primitive(r, k)
+    else:
+        b = _one(k)  # a primitive polynomial free of the main variable
+    return [_mul(x, c, k - 1) for x in b]
+
+
+def _derivative(a: list) -> list:
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+# -- conversion from and to MPoly ---------------------------------------------
+
+
+def _to_dense(f: MPoly, order: list[int]):
+    """Integer recursive dense form of den * f with main variable order[0];
+    returns (form, den) with den > 0 the lcm of the denominators."""
+    den = lcm(*(c.denominator for _, c in f.terms()))
+    items = [(e, c.numerator * (den // c.denominator)) for e, c in f.terms()]
+    return _build(items, order), den
+
+
+def _build(items, order):
+    if not order:
+        return sum(c for _, c in items)
+    v, rest = order[0], order[1:]
+    buckets: dict[int, list] = {}
+    for e, c in items:
+        buckets.setdefault(e[v], []).append((e, c))
+    if not buckets:
+        return []
+    return [
+        _build(buckets[d], rest) if d in buckets else _zero(len(rest))
+        for d in range(max(buckets) + 1)
+    ]
+
+
+def _from_dense(a, order: list[int], ring_, den: int = 1) -> MPoly:
+    """The MPoly a / den, for a recursive dense form over ``order``."""
     acc = {}
-    for e, c in p.terms():
-        q = sympy.Rational(c)
-        acc[tuple(int(k) for k in e)] = Fraction(int(q.p), int(q.q))
+    exp = [0] * ring_.n
+
+    def walk(x, depth):
+        if depth == len(order):
+            acc[tuple(exp)] = Fraction(x, den)
+            return
+        v = order[depth]
+        for d, y in enumerate(x):
+            if y:
+                exp[v] = d
+                walk(y, depth + 1)
+        exp[v] = 0
+
+    if a:
+        walk(a, 0)
     return MPoly(ring_, acc)
+
+
+# -- gcd and saturation ---------------------------------------------------------
 
 
 def poly_gcd(f: MPoly, g: MPoly) -> MPoly:
@@ -44,10 +260,54 @@ def poly_gcd(f: MPoly, g: MPoly) -> MPoly:
         raise ValueError("mixed rings in gcd")
     if f.is_zero and g.is_zero:
         return f.ring.zero()
-    d = from_sympy(to_sympy(f).gcd(to_sympy(g)), f.ring)
-    if d.is_zero:
-        return d
+    if f.is_zero or g.is_zero:
+        d = g if f.is_zero else f
+    elif _coprime(f, g):
+        return f.ring.one()
+    else:
+        order = list(range(f.ring.n))
+        d = _gcd(_to_dense(f, order)[0], _to_dense(g, order)[0], f.ring.n)
+        if _constant(d, f.ring.n) is not None:
+            return f.ring.one()
+        d = _from_dense(d, order, f.ring)
     return d.mono_mul((0,) * d.ring.n, 1 / d.leading_coeff())
+
+
+# Images mod the prime _P, the variables other than x_i at fixed points.
+_P = 2**31 - 1
+_POINT = (40961, 65537, 101863, 131071)
+
+
+def _coprime(f: MPoly, g: MPoly) -> bool:
+    """A certificate that f and g share no nonconstant factor.
+
+    For each variable x_i the other variables are set to fixed points mod _P.
+    A common factor h of positive degree in x_i has lc_i(h) dividing lc_i(f)
+    and lc_i(g), so when the image of f or of g keeps its degree in x_i, the
+    image of h keeps its degree too and divides the gcd of the images.  False
+    only means that the images prove nothing.
+    """
+    for i in range(f.ring.n):
+        fi, gi = _image(f, i), _image(g, i)
+        if len(fi) <= f.degree_in(i) and len(gi) <= g.degree_in(i):
+            return False
+        if len(_pgcd(fi, gi, _P)) != 1:
+            return False
+    return True
+
+
+def _image(f: MPoly, i: int) -> list:
+    """f mod _P as a polynomial in x_i, with x_j = _POINT[j] for j != i."""
+    out = [0] * (f.degree_in(i) + 1)
+    for e, c in f.terms():
+        if c.denominator % _P == 0:
+            return []
+        v = c.numerator * pow(c.denominator, -1, _P)
+        for j, k in enumerate(e):
+            if k and j != i:
+                v = v * pow(_POINT[j % len(_POINT)], k, _P)
+        out[e[i]] += v
+    return _strip([c % _P for c in out])
 
 
 def saturate(*polys: MPoly) -> tuple[tuple[MPoly, ...], MPoly]:
@@ -98,18 +358,186 @@ def is_squarefree(phi: MPoly) -> bool:
     return d.total_degree() == 0
 
 
+# -- resultants -----------------------------------------------------------------
+
+
 def resultant(f: MPoly, g: MPoly, which: int | str) -> MPoly:
     """Resultant with respect to one variable; result lives in the same ring
-    (free of the eliminated variable)."""
+    (free of the eliminated variable).
+
+    Res(f, g) is the Sylvester determinant when deg f >= deg g; otherwise the
+    arguments are swapped without the sign (-1)^(deg f * deg g).
+    """
     i = which if isinstance(which, int) else f.ring.index(which)
-    syms = sympy.symbols(f.ring.names)
-    if f.ring.n == 1 and not isinstance(syms, tuple):
-        syms = (syms,)
-    fe = to_sympy(f).as_expr()
-    ge = to_sympy(g).as_expr()
-    res = sympy.resultant(fe, ge, syms[i])
-    p = sympy.Poly(res, *syms, domain="QQ")
-    return from_sympy(p, f.ring)
+    if f.is_zero or g.is_zero:
+        return f.ring.zero()
+    order = [i] + [j for j in range(f.ring.n) if j != i]
+    a, den_f = _to_dense(f, order)
+    b, den_g = _to_dense(g, order)
+    # Res(F / den_f, G / den_g) = Res(F, G) / (den_f^deg G * den_g^deg F).
+    den = den_f ** (len(b) - 1) * den_g ** (len(a) - 1)
+    if len(a) < len(b):
+        a, b = b, a
+    level = f.ring.n - 1
+    return _from_dense(_det(_sylvester(a, b, level), level), order[1:], f.ring, den)
+
+
+def _sylvester(a, b, level: int) -> list[list]:
+    da, db = len(a) - 1, len(b) - 1
+    z = _zero(level)
+    rows = [[z] * r + a[::-1] + [z] * (db - 1 - r) for r in range(db)]
+    rows += [[z] * r + b[::-1] + [z] * (da - 1 - r) for r in range(da)]
+    return rows
+
+
+def _det(m: list[list], level: int):
+    """Determinant by fraction-free (Bareiss) elimination."""
+    n = len(m)
+    if n == 0:
+        return _one(level)
+    sign = 1
+    prev = _one(level)
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return _zero(level)
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot, row_k = m[k][k], m[k]
+        for row in m[k + 1:]:
+            head = row[k]
+            for j in range(k + 1, n):
+                row[j] = _quo(
+                    _sub(_mul(pivot, row[j], level), _mul(head, row_k[j], level), level),
+                    prev,
+                    level,
+                )
+        prev = pivot
+    return m[-1][-1] if sign > 0 else _neg(m[-1][-1], level)
+
+
+# -- polynomials over Z/m -------------------------------------------------------
+
+
+def _pmul(a: list, b: list, m: int) -> list:
+    return _strip([c % m for c in _mul(a, b, 1)])
+
+
+def _psub(a: list, b: list, m: int) -> list:
+    return _strip([c % m for c in _sub(a, b, 1)])
+
+
+def _pdivmod(a: list, b: list, m: int) -> tuple[list, list]:
+    """Division with remainder mod m; lc(b) must be a unit mod m."""
+    a = _strip([c % m for c in a])
+    db = len(b) - 1
+    inv = pow(b[-1], -1, m)
+    q = [0] * max(len(a) - db, 0)
+    while len(a) > db:
+        s = len(a) - 1 - db
+        c = a[-1] * inv % m
+        q[s] = c
+        for i, y in enumerate(b):
+            a[s + i] = (a[s + i] - c * y) % m
+        _strip(a)
+    return q, a
+
+
+def _monic(a: list, m: int) -> list:
+    inv = pow(a[-1], -1, m)
+    return [c * inv % m for c in a]
+
+
+def _pgcd(a: list, b: list, p: int) -> list:
+    """The monic gcd mod the prime p; [] when both vanish mod p."""
+    a = _strip([c % p for c in a])
+    b = _strip([c % p for c in b])
+    while b:
+        a, b = b, _pdivmod(a, b, p)[1]
+    return _monic(a, p) if a else a
+
+
+def _pgcdex(a: list, b: list, p: int) -> tuple[list, list, list]:
+    """(g, s, t) with s*a + t*b = g, the monic gcd mod the prime p."""
+    r0, s0, t0 = _strip([c % p for c in a]), [1], []
+    r1, s1, t1 = _strip([c % p for c in b]), [], [1]
+    while r1:
+        q, r = _pdivmod(r0, r1, p)
+        r0, s0, t0, r1, s1, t1 = (
+            r1, s1, t1, r, _psub(s0, _pmul(q, s1, p), p), _psub(t0, _pmul(q, t1, p), p)
+        )
+    inv = pow(r0[-1], -1, p)
+    return [c * inv % p for c in r0], [c * inv % p for c in s0], [c * inv % p for c in t0]
+
+
+def _ppowmod(a: list, e: int, u: list, m: int) -> list:
+    """a^e mod (u, m)."""
+    out, a = [1], _pdivmod(a, u, m)[1]
+    while e:
+        if e & 1:
+            out = _pdivmod(_pmul(out, a, m), u, m)[1]
+        a = _pdivmod(_pmul(a, a, m), u, m)[1]
+        e >>= 1
+    return out
+
+
+def _eval_mod(a: list, x: int, m: int) -> int:
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _good_prime(f: list) -> int:
+    """The least odd prime dividing neither lc(f) nor the discriminant of f
+    (f squarefree over Q)."""
+    p = 3
+    while True:
+        if all(p % q for q in range(3, int(p**0.5) + 1, 2)) and f[-1] % p:
+            if len(_pgcd(f, _derivative(f), p)) == 1:
+                return p
+        p += 2
+
+
+# -- rational roots ---------------------------------------------------------------
+
+
+def _roots_of_squarefree(s: list) -> list[Fraction]:
+    """The rational roots of a squarefree integer polynomial with s(0) != 0.
+
+    Each root a/b has b | lc and a | s(0), so lc * a/b is an integer of size
+    at most |lc * s(0)|: it is the symmetric residue of lc * r for the p-adic
+    root r lifted far enough.
+    """
+    p = _good_prime(s)
+    modular = [r for r in range(p) if _eval_mod(s, r, p) == 0]
+    lc, bound = s[-1], 2 * abs(s[-1] * s[0])
+    ds = _derivative(s)
+    roots = []
+    for r in modular:
+        m = p
+        while m <= bound:
+            m *= m
+            r = (r - _eval_mod(s, r, m) * pow(_eval_mod(ds, r, m), -1, m)) % m
+        c = lc * r % m
+        root = Fraction(c - m if 2 * c > m else c, lc)
+        if _quo(s, [-root.numerator, root.denominator], 1) is not None:
+            roots.append(root)
+    return roots
+
+
+def _multiplicity(f: list, g: list) -> tuple[int, list]:
+    """(k, f / g^k) for the largest k with g^k | f."""
+    k = 0
+    while (q := _quo(f, g, 1)) is not None:
+        f, k = q, k + 1
+    return k, f
+
+
+def _squarefree_part(f: list) -> list:
+    s = _primitive(_quo(f, _gcd(f, _derivative(f), 1), 1), 1)
+    return s if s[-1] > 0 else _neg(s, 1)
 
 
 def rational_roots(p: MPoly) -> list[tuple[Fraction, int]]:
@@ -125,22 +553,187 @@ def rational_roots(p: MPoly) -> list[tuple[Fraction, int]]:
         raise ValueError("the zero polynomial has every root")
     if p.total_degree() == 0:
         return []
-    sp = to_sympy(p)
-    _, factors = sp.factor_list()
+    f = _primitive(_to_dense(p, [0])[0], 1)
+    if f[-1] < 0:
+        f = _neg(f, 1)
     out = []
-    for fac, mult in factors:
-        if fac.degree() == 0:
-            continue
-        if fac.degree() >= 2:
-            raise IrrationalPointError(
-                f"polynomial {p!r} has a root not in Q (factor {fac.as_expr()})"
-            )
-        coeffs = fac.all_coeffs()  # [a, b] for a*t + b
-        a, b = (sympy.Rational(c) for c in coeffs)
-        root = Fraction(int((-b / a).p), int((-b / a).q))
-        out.append((root, int(mult)))
+    low = next(i for i, c in enumerate(f) if c)
+    if low:
+        out.append((Fraction(0), low))
+        f = f[low:]
+    if len(f) > 1:
+        for root in _roots_of_squarefree(_squarefree_part(f)):
+            k, f = _multiplicity(f, [-root.numerator, root.denominator])
+            out.append((root, k))
+    if len(f) > 1:
+        factor = _render(_message_factor(f), p.ring.names[0])
+        raise IrrationalPointError(f"polynomial {p!r} has a root not in Q (factor {factor})")
     out.sort(key=lambda item: item[0])
     return out
+
+
+# -- factors without rational roots ----------------------------------------------
+
+
+def _message_factor(f: list) -> list:
+    """The least irreducible factor of f, a primitive polynomial with positive
+    leading coefficient and no rational root, in the order (degree,
+    multiplicity, coefficients from the leading one)."""
+    keys = []
+    for g in _irreducible_factors(_squarefree_part(f)):
+        keys.append((len(g), _multiplicity(f, g)[0], g[::-1]))
+    return min(keys)[2][::-1]
+
+
+def _irreducible_factors(f: list) -> list[list]:
+    """Irreducible factors over Z of a primitive squarefree f with positive
+    leading coefficient and no rational root (Zassenhaus)."""
+    if len(f) <= 4:
+        return [f]  # degree <= 3 and no linear factor
+    p = _good_prime(f)
+    modular = _berlekamp(_monic(f, p), p)
+    if len(modular) == 1:
+        return [f]
+    # A factor g of f has coefficients at most 2^deg f * |f|_1 (Mignotte), and
+    # the recombined candidate is (lc f / lc g) * g.
+    bound = 2 * f[-1] * 2 ** (len(f) - 1) * sum(abs(c) for c in f)
+    m = p
+    while m <= bound:
+        m *= m
+    return _recombine(f, _hensel_lift(f, modular, p, m), m)
+
+
+def _berlekamp(u: list, p: int) -> list[list]:
+    """Monic irreducible factors of a monic squarefree u mod the prime p."""
+    d = len(u) - 1
+    xp = _ppowmod([0, 1], p, u, p)
+    rows = [[1]]
+    for _ in range(d - 1):
+        rows.append(_pdivmod(_pmul(rows[-1], xp, p), u, p)[1])
+    # v is in the Berlekamp subalgebra iff sum_i v_i (x^(p i) - x^i) = 0 mod u.
+    system = [
+        [((rows[i][j] if j < len(rows[i]) else 0) - (i == j)) % p for i in range(d)]
+        for j in range(d)
+    ]
+    basis = _nullspace(system, p)
+    factors = [u]
+    for v in basis:
+        if len(factors) == len(basis):
+            break
+        split = []
+        for h in factors:
+            for s in range(p):
+                if len(h) <= 2:
+                    break
+                g = _pgcd(h, [v[0] - s] + v[1:], p)
+                if 1 < len(g) < len(h):
+                    split.append(g)
+                    h = _pdivmod(h, g, p)[0]
+            split.append(h)
+        factors = split
+    return factors
+
+
+def _nullspace(a: list[list], p: int) -> list[list]:
+    """A basis of {v : a v = 0} over Z/p, by reduced row echelon form."""
+    rows = [list(r) for r in a]
+    n = len(rows[0])
+    pivots: list[int] = []
+    for col in range(n):
+        rank = len(pivots)
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for i, row in enumerate(rows):
+            if i != rank and row[col]:
+                c = row[col]
+                rows[i] = [(x - c * y) % p for x, y in zip(row, rows[rank])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        v = [0] * n
+        v[free] = 1
+        for r, col in enumerate(pivots):
+            v[col] = -rows[r][free] % p
+        basis.append(v)
+    return basis
+
+
+def _hensel_lift(f: list, factors: list[list], p: int, m: int) -> list[list]:
+    """Lift f = lc(f) * prod(factors) mod p, the factors monic and pairwise
+    coprime, to monic factors mod m = p^(2^j)."""
+    if len(factors) == 1:
+        return [_monic(f, m)]
+    half = len(factors) // 2
+    g = [f[-1] % p]
+    for u in factors[:half]:
+        g = _pmul(g, u, p)
+    h = [1]
+    for u in factors[half:]:
+        h = _pmul(h, u, p)
+    _, s, t = _pgcdex(g, h, p)
+    q = p
+    while q < m:
+        g, h, s, t, q = _hensel_step(f, g, h, s, t, q)
+    return _hensel_lift(g, factors[:half], p, m) + _hensel_lift(h, factors[half:], p, m)
+
+
+def _hensel_step(f, g, h, s, t, m):
+    """From f = g h and s g + t h = 1 mod m, h monic, the same mod m^2."""
+    mm = m * m
+    e = _psub(f, _mul(g, h, 1), mm)
+    q, r = _pdivmod(_pmul(s, e, mm), h, mm)
+    g = _strip([c % mm for c in _add(g, _add(_mul(t, e, 1), _mul(q, g, 1), 1), 1)])
+    h = _strip([c % mm for c in _add(h, r, 1)])
+    b = _psub(_add(_mul(s, g, 1), _mul(t, h, 1), 1), [1], mm)
+    c, d = _pdivmod(_pmul(s, b, mm), h, mm)
+    s = _psub(s, d, mm)
+    t = _psub(t, _add(_mul(t, b, 1), _mul(c, g, 1), 1), mm)
+    return g, h, s, t, mm
+
+
+def _recombine(f: list, lifted: list[list], m: int) -> list[list]:
+    """True factors of f from its monic factors mod m, by trial division of
+    subset products in increasing size."""
+    out = []
+    size = 1
+    while 2 * size <= len(lifted):
+        for subset in combinations(range(len(lifted)), size):
+            g = [f[-1]]
+            for i in subset:
+                g = _pmul(g, lifted[i], m)
+            g = _primitive([c - m if 2 * c > m else c for c in g], 1)
+            q = _quo(f, g, 1)
+            if q is not None:
+                out.append(g)
+                f = q
+                lifted = [u for i, u in enumerate(lifted) if i not in subset]
+                break
+        else:
+            size += 1
+    out.append(f)
+    return out
+
+
+def _render(coeffs: list, name: str) -> str:
+    """A univariate integer polynomial, leading term first, with ** powers:
+    'u**2 - 3*u + 1'."""
+    out = ""
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if not c:
+            continue
+        mono = "" if k == 0 else name if k == 1 else f"{name}**{k}"
+        body = str(abs(c)) if not mono else mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+        sign = "-" if c < 0 else "+"
+        out = (f"{out} {sign} " if out else "-" if c < 0 else "") + body
+    return out
+
+
+# -- common zeros -------------------------------------------------------------------
 
 
 def rational_common_zeros(

@@ -74,9 +74,13 @@ class PlaneFoliation:
         return -self.B * phi.partial(0) + self.A * phi.partial(1)
 
     def translate(self, point) -> "PlaneFoliation":
-        return PlaneFoliation(
-            self.ring, self.A.translate(point), self.B.translate(point)
-        )
+        # Translation is a ring automorphism, so A and B stay coprime and the
+        # translated pair is saturated as it stands.
+        out = object.__new__(PlaneFoliation)
+        object.__setattr__(out, "ring", self.ring)
+        object.__setattr__(out, "A", self.A.translate(point))
+        object.__setattr__(out, "B", self.B.translate(point))
+        return out
 
 
 def tangency_order(F: PlaneFoliation, X: HypersurfaceGerm) -> int:

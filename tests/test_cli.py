@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import brindex
 from brindex.cli import main
 from brindex.config import reset_limits
 from brindex.corpus import (
@@ -136,6 +141,48 @@ def test_flags_are_accepted(tmp_path, capsys):
     )
     assert code == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", ["--steps", "--bound"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_non_positive_limits_are_rejected(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", _write(tmp_path, GOOD), flag, value])
+    assert exc.value.code == 2
+    assert f"must be a positive integer, got {int(value)}" in capsys.readouterr().err
+
+
+IRRATIONAL = """ring x, y
+form w = (2*x - y - x*y) dx + (-x - 12*y + 2*x^2 - 3*x*y + 3*y^2) dy
+curve C = -2*x + 2*y - 3*x*y - 2*y^2
+compute blowup w
+compute blowup-verify w C
+compute p2-check w
+compute p2-check w C
+"""
+
+
+def test_no_runtime_path_imports_sympy(tmp_path, capsys):
+    """The corpus and a P^2 session that ends in IrrationalPointError give the
+    same bytes and exit codes with sympy made unimportable."""
+    blocked = (
+        "import sys; sys.modules['sympy'] = None; from brindex.cli import main; "
+        "sys.exit(main(sys.argv[1:]))"
+    )
+    src = str(Path(brindex.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    session = _write(tmp_path, IRRATIONAL)
+    for argv, code in ((["corpus", "--json"], 0), (["run", session, "--json"], 2)):
+        run = subprocess.run(
+            [sys.executable, "-c", blocked, *argv], capture_output=True, text=True, env=env
+        )
+        assert main(argv) == code
+        direct = capsys.readouterr()
+        assert (run.returncode, run.stdout, run.stderr) == (code, direct.out, direct.err)
+    assert run.stderr == (
+        "error: line 6: irrational singular point: polynomial -25*x - 18*x^2 - 3*x^3 "
+        "+ 2*x^4 has a root not in Q (factor 2*x**3 - 3*x**2 - 18*x - 25)\n"
+    )
 
 
 # -- corpus API ------------------------------------------------------------------------

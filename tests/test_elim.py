@@ -1,0 +1,182 @@
+"""The integer routines of elim: pinned cases, and sympy as an oracle.
+
+sympy is a test dependency only.  The oracle tests import it on demand and
+are skipped without it; the pinned cases run everywhere.  The oracle for
+``rational_roots`` is the rule the error message follows: the first factor
+of degree >= 2 in ``factor_list`` order.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from brindex.elim import poly_gcd, rational_roots, resultant
+from brindex.errors import IrrationalPointError
+from brindex.poly import MPoly, ring
+
+RINGS = {1: ring("x"), 2: ring("x", "y"), 3: ring("x", "y", "z")}
+R1 = RINGS[1]
+R2 = RINGS[2]
+
+
+def _sympy():
+    return pytest.importorskip("sympy")
+
+
+def _to_sympy(f: MPoly):
+    sympy = _sympy()
+    syms = [sympy.Symbol(name) for name in f.ring.names]
+    rep = {e: sympy.Rational(c.numerator, c.denominator) for e, c in f.terms()}
+    return sympy.Poly.from_dict(rep or {(0,) * f.ring.n: 0}, *syms, domain="QQ")
+
+
+def _from_sympy(p, ring_) -> MPoly:
+    sympy = _sympy()
+    acc = {}
+    for e, c in p.terms():
+        q = sympy.Rational(c)
+        acc[tuple(int(k) for k in e)] = Fraction(int(q.p), int(q.q))
+    return MPoly(ring_, acc)
+
+
+def _sympy_rational_roots(p: MPoly):
+    """What rational_roots must return or raise, computed by sympy."""
+    _, factors = _to_sympy(p).factor_list()
+    out = []
+    for fac, mult in factors:
+        if fac.degree() >= 2:
+            return f"polynomial {p!r} has a root not in Q (factor {fac.as_expr()})"
+        if fac.degree() == 1:
+            a, b = (Fraction(int(c.p), int(c.q)) for c in fac.all_coeffs())
+            out.append((-b / a, int(mult)))
+    return sorted(out)
+
+
+def _outcome(p: MPoly):
+    try:
+        return rational_roots(p)
+    except IrrationalPointError as exc:
+        return str(exc)
+
+
+def _poly(ring_, terms) -> MPoly:
+    return MPoly(ring_, {tuple(e): Fraction(c) for e, c in terms.items()})
+
+
+def polys(n: int, degree: int, max_terms: int = 5):
+    exps = st.tuples(*[st.integers(0, degree)] * n).filter(lambda e: sum(e) <= degree)
+    coeffs = st.integers(-9, 9).filter(bool)
+    return st.dictionaries(exps, coeffs, min_size=1, max_size=max_terms).map(
+        lambda terms: _poly(RINGS[n], terms)
+    )
+
+
+def univariate(degree: int):
+    """A univariate integer polynomial of exactly the given degree."""
+    return st.lists(st.integers(-20, 20), min_size=degree, max_size=degree).flatmap(
+        lambda low: st.integers(1, 6).map(
+            lambda lc: _poly(R1, {(k,): c for k, c in enumerate(low + [lc])})
+        )
+    )
+
+
+# -- pinned cases ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text, factor",
+    [
+        ("(x^2 + 1)*(x^2 + 2)", "x**2 + 1"),
+        ("(x^2 + 1)^2*(x^2 + 3)", "x**2 + 3"),
+        ("(x^2 + 7)^2*(x^4 + 1)", "x**2 + 7"),
+        ("(x^2 + 2)*(3*x^2 + 1)", "x**2 + 2"),
+        ("(2*x - 1)^2*(2*x^3 - 3*x^2 - 18*x - 25)", "2*x**3 - 3*x**2 - 18*x - 25"),
+        ("x*(x^4 - 12*x^3 + 8*x^2 + 91*x + 130)", "x**4 - 12*x**3 + 8*x**2 + 91*x + 130"),
+    ],
+)
+def test_message_names_the_first_nonlinear_factor(text, factor):
+    p = R1.parse(text)
+    with pytest.raises(IrrationalPointError) as exc:
+        rational_roots(p)
+    assert str(exc.value) == f"polynomial {p!r} has a root not in Q (factor {factor})"
+
+
+def test_resultant_swaps_without_sign_when_the_first_degree_is_lower():
+    f, g = R2.parse("x - y"), R2.parse("y^3 + x")
+    assert resultant(f, g, "y") == R2.parse("x^3 + x")
+    assert resultant(g, f, "y") == R2.parse("x^3 + x")
+    assert resultant(R2.parse("3*x"), R2.parse("y^2 + 1"), "y") == R2.parse("9*x^2")
+    assert resultant(R2.constant(3), R2.constant(5), "y") == R2.one()
+    assert resultant(R2.parse("y^2 + x"), R2.zero(), "y") == R2.zero()
+
+
+def test_rational_roots_with_multiplicities():
+    p = R1.parse("(2*x - 1)^3 * x^2 * (3*x + 7) * 5")
+    assert rational_roots(p) == [(Fraction(-7, 3), 1), (Fraction(0), 2), (Fraction(1, 2), 3)]
+    assert rational_roots(R1.constant(4)) == []
+
+
+def test_gcd_is_normalized_at_the_local_leading_term():
+    f = R2.parse("(2 + 3*x*y)*(x - y^2)")
+    g = R2.parse("(4 + 6*x*y)*(x + y)")
+    assert poly_gcd(f, g) == R2.parse("2 + 3*x*y") * Fraction(1, 2)
+    assert poly_gcd(f, R2.zero()) == f * Fraction(1, 2)
+    assert poly_gcd(R2.parse("x - y"), R2.parse("x + y")) == R2.one()
+
+
+# -- sympy as an oracle -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, degree", [(1, 4), (2, 3), (3, 2)])
+@given(data=st.data())
+def test_gcd_matches_sympy(n, degree, data):
+    a, b, c = (data.draw(polys(n, degree)) for _ in range(3))
+    f, g = a * c, b * c
+    expected = _from_sympy(_to_sympy(f).gcd(_to_sympy(g)), f.ring)
+    expected = expected.mono_mul((0,) * n, 1 / expected.leading_coeff())
+    assert poly_gcd(f, g) == expected
+
+
+@pytest.mark.parametrize("n, degree", [(2, 3), (3, 2)])
+@given(data=st.data())
+def test_resultant_matches_sympy(n, degree, data):
+    sympy = _sympy()
+    f, g = data.draw(polys(n, degree)), data.draw(polys(n, degree))
+    i = data.draw(st.integers(0, n - 1))
+    syms = [sympy.Symbol(name) for name in f.ring.names]
+    res = sympy.resultant(_to_sympy(f).as_expr(), _to_sympy(g).as_expr(), syms[i])
+    expected = _from_sympy(sympy.Poly(res, *syms, domain="QQ"), f.ring)
+    assert resultant(f, g, i) == expected
+
+
+@given(
+    roots=st.lists(
+        st.tuples(st.fractions(-5, 5, max_denominator=4), st.integers(1, 3)), max_size=3
+    ),
+    rest=st.integers(0, 3).flatmap(univariate),
+)
+def test_rational_roots_match_sympy(roots, rest):
+    p = rest
+    for r, k in roots:
+        p = p * (R1.var(0) - R1.constant(r)) ** k
+    assume(p.total_degree() <= 10)
+    assert _outcome(p) == _sympy_rational_roots(p)
+
+
+@given(
+    factors=st.lists(
+        st.tuples(st.integers(2, 4).flatmap(univariate), st.integers(1, 2)),
+        min_size=1,
+        max_size=3,
+    ),
+    scale=st.integers(1, 5),
+)
+def test_irrational_message_matches_factor_list(factors, scale):
+    p = R1.constant(Fraction(1, scale))
+    for f, k in factors:
+        p = p * f**k
+    assert _outcome(p) == _sympy_rational_roots(p)

@@ -24,6 +24,7 @@ from brindex.foliation import (
     tangency_order,
     verify_blowup_formula,
 )
+from brindex import elim
 from brindex.elim import saturate
 from brindex.invariants import HypersurfaceGerm, LocalPair, intersection_mult
 from brindex.localalg import INFINITY
@@ -65,6 +66,18 @@ def test_foliation_from_form_saturates():
     assert F.multiplicity() == 1
     assert F.milnor() == 1
     assert F.is_singular_at_origin()
+
+
+def test_translate_computes_no_gcd(monkeypatch):
+    F = _fol("(x + y^2) dx + (2*y - x^2 + x*y) dy")
+    calls = []
+    gcd = elim.poly_gcd
+    monkeypatch.setattr(elim, "poly_gcd", lambda f, g: calls.append(1) or gcd(f, g))
+    point = (Fraction(1, 2), Fraction(-3))
+    moved = F.translate(point)
+    assert calls == []
+    monkeypatch.undo()
+    assert moved == PlaneFoliation(R2, F.A.translate(point), F.B.translate(point))
 
 
 def test_tangent_field_applied():
