@@ -262,8 +262,6 @@ def poly_gcd(f: MPoly, g: MPoly) -> MPoly:
         return f.ring.zero()
     if f.is_zero or g.is_zero:
         d = g if f.is_zero else f
-    elif _coprime(f, g):
-        return f.ring.one()
     else:
         order = list(range(f.ring.n))
         d = _gcd(_to_dense(f, order)[0], _to_dense(g, order)[0], f.ring.n)
@@ -271,43 +269,6 @@ def poly_gcd(f: MPoly, g: MPoly) -> MPoly:
             return f.ring.one()
         d = _from_dense(d, order, f.ring)
     return d.mono_mul((0,) * d.ring.n, 1 / d.leading_coeff())
-
-
-# Images mod the prime _P, the variables other than x_i at fixed points.
-_P = 2**31 - 1
-_POINT = (40961, 65537, 101863, 131071)
-
-
-def _coprime(f: MPoly, g: MPoly) -> bool:
-    """A certificate that f and g share no nonconstant factor.
-
-    For each variable x_i the other variables are set to fixed points mod _P.
-    A common factor h of positive degree in x_i has lc_i(h) dividing lc_i(f)
-    and lc_i(g), so when the image of f or of g keeps its degree in x_i, the
-    image of h keeps its degree too and divides the gcd of the images.  False
-    only means that the images prove nothing.
-    """
-    for i in range(f.ring.n):
-        fi, gi = _image(f, i), _image(g, i)
-        if len(fi) <= f.degree_in(i) and len(gi) <= g.degree_in(i):
-            return False
-        if len(_pgcd(fi, gi, _P)) != 1:
-            return False
-    return True
-
-
-def _image(f: MPoly, i: int) -> list:
-    """f mod _P as a polynomial in x_i, with x_j = _POINT[j] for j != i."""
-    out = [0] * (f.degree_in(i) + 1)
-    for e, c in f.terms():
-        if c.denominator % _P == 0:
-            return []
-        v = c.numerator * pow(c.denominator, -1, _P)
-        for j, k in enumerate(e):
-            if k and j != i:
-                v = v * pow(_POINT[j % len(_POINT)], k, _P)
-        out[e[i]] += v
-    return _strip([c % _P for c in out])
 
 
 def saturate(*polys: MPoly) -> tuple[tuple[MPoly, ...], MPoly]:
@@ -451,11 +412,9 @@ def _monic(a: list, m: int) -> list:
 
 def _pgcd(a: list, b: list, p: int) -> list:
     """The monic gcd mod the prime p; [] when both vanish mod p."""
-    a = _strip([c % p for c in a])
-    b = _strip([c % p for c in b])
-    while b:
-        a, b = b, _pdivmod(a, b, p)[1]
-    return _monic(a, p) if a else a
+    if not any(c % p for c in a) and not any(c % p for c in b):
+        return []
+    return _pgcdex(a, b, p)[0]
 
 
 def _pgcdex(a: list, b: list, p: int) -> tuple[list, list, list]:

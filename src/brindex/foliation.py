@@ -15,7 +15,7 @@ nu + 1 in the dicritical case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 
 from .elim import poly_gcd, rational_roots, saturate
@@ -40,10 +40,14 @@ class PlaneFoliation:
     ring: Ring
     A: MPoly
     B: MPoly
+    # True when A and B are known to be coprime, so saturation is skipped.
+    saturated: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, saturated: bool):
         if self.ring.n != 2:
             raise ComputationError("plane foliations need exactly two variables")
+        if saturated:
+            return
         (A2, B2), _ = saturate(self.A, self.B)
         object.__setattr__(self, "A", A2)
         object.__setattr__(self, "B", B2)
@@ -74,13 +78,10 @@ class PlaneFoliation:
         return -self.B * phi.partial(0) + self.A * phi.partial(1)
 
     def translate(self, point) -> "PlaneFoliation":
-        # Translation is a ring automorphism, so A and B stay coprime and the
-        # translated pair is saturated as it stands.
-        out = object.__new__(PlaneFoliation)
-        object.__setattr__(out, "ring", self.ring)
-        object.__setattr__(out, "A", self.A.translate(point))
-        object.__setattr__(out, "B", self.B.translate(point))
-        return out
+        # Translation is a ring automorphism, so A and B stay coprime.
+        return PlaneFoliation(
+            self.ring, self.A.translate(point), self.B.translate(point), saturated=True
+        )
 
 
 def tangency_order(F: PlaneFoliation, X: HypersurfaceGerm) -> int:

@@ -80,6 +80,12 @@ def test_translate_computes_no_gcd(monkeypatch):
     assert moved == PlaneFoliation(R2, F.A.translate(point), F.B.translate(point))
 
 
+def test_skipping_saturation_keeps_the_ring_check():
+    R3 = ring("x", "y", "z")
+    with pytest.raises(ComputationError, match="exactly two variables"):
+        PlaneFoliation(R3, R3.var(0), R3.var(1), saturated=True)
+
+
 def test_tangent_field_applied():
     F = _fol("y dx + x dy")
     phi = parse_poly("y^2 - x^5", R2)
