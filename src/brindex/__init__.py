@@ -26,20 +26,14 @@ from .invariants import (
     LocalPair,
     ThetaGenerators,
     br_function,
-    br_relative,
-    bruce_roberts,
-    bruce_roberts_trivial_direct,
     bruce_roberts_user_theta,
-    euler_obstruction_curve,
     gsv_hyp,
     gsv_icis,
     icis_pair_milnor,
     intersection_mult,
-    invariant_report,
     is_invariant,
     milnor_form,
     milnor_hyp,
-    radial_index,
     tjurina,
 )
 from .foliation import (
@@ -49,7 +43,6 @@ from .foliation import (
     generalized_curve_check,
     order_pullback,
     strict_transform_curve,
-    tangency_order,
     verify_blowup_formula,
 )
 from .localalg import LocalIdeal, colength, colength_oracle, standard_basis

@@ -3,8 +3,8 @@
     brindex run FILE [--json] [--steps N] [--bound N]
     brindex corpus [--json] [--filter STR] [--perturb] [...]
 
-Exit codes: 0 success, 1 parse error, 2 mathematical domain error,
-3 resource limit, 4 identity-check failure.
+Exit codes: 0 success, 1 parse error or bad command line, 2 mathematical
+domain error, 3 resource limit, 4 identity-check failure.
 """
 
 from __future__ import annotations
@@ -33,8 +33,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, as on a parse error; exit 2 is kept for
+    mathematical domain errors."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="brindex",
         description="Local indices of 1-forms along hypersurface singularities.",
     )

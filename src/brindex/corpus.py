@@ -334,7 +334,7 @@ def run_identity_sweep(n: int = 25, seed: int = _SWEEP_SEED) -> ResultRecord:
         mu0, gsv = pair.mu0_omega, pair.gsv
         mu_br = pair.bruce_roberts()
         direct = pair.bruce_roberts_trivial()
-        trivial = direct + pair.tau0
+        trivial = pair.trivial
         tang = pair.tangency()
         # The foliation of omega: its saturated pair, which is the pair itself
         # unless the coefficients share a unit factor.

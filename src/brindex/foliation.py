@@ -84,11 +84,6 @@ class PlaneFoliation:
         )
 
 
-def tangency_order(F: PlaneFoliation, X: HypersurfaceGerm) -> int:
-    """tang(F, X, 0): the GSV index of the saturated form along X."""
-    return LocalPair(F.form, X).tangency()
-
-
 T_RING = ring("t")
 
 
@@ -230,9 +225,6 @@ class ExceptionalPoint:
     chart: str
     coord: Fraction  # t0 in chart "xt"; 0 in chart "uy"
 
-    def key(self):
-        return (self.chart, self.coord)
-
 
 def _divisor_restriction(p: MPoly, divisor_var: int) -> MPoly:
     """Restrict to the divisor; univariate in the other chart coordinate."""
@@ -267,7 +259,7 @@ def exceptional_singularities(bl: BlowupResult) -> list[tuple[ExceptionalPoint, 
                 raise NonIsolatedError("non-isolated singularity on the divisor")
             out.append((ExceptionalPoint("xt", t0), int(mu)))
     Fuy = bl.chart_uy
-    if Fuy.A.constant_term() == 0 and Fuy.B.constant_term() == 0:
+    if Fuy.is_singular_at_origin():
         mu = Fuy.milnor()
         if mu == INFINITY:
             raise NonIsolatedError("non-isolated singularity on the divisor")
@@ -429,7 +421,7 @@ def verify_blowup_formula(
 
     sing = exceptional_singularities(bl)
     sum_all = sum(mu for _, mu in sing)
-    sum_other = sum(mu for p, mu in sing if p.key() != q.key())
+    sum_other = sum(mu for p, mu in sing if p != q)
 
     D = delta_invariant_drop(origin, at_q, bl_curve.m)
     return BlowupReport(

@@ -272,10 +272,10 @@ _REJECT = {
 
 class LocalPair:
     """A (form, hypersurface) pair at the origin.  mu0(omega), mu0(X), tau0(X),
-    GSV(omega, X), the invariance test and the saturation are each computed at
-    most once; every invariant is a difference of them and raises the typed
-    error of the first base quantity it needs that fails, checked in a fixed
-    order."""
+    GSV(omega, X), the trivial-evaluation colength, the invariance test and
+    the saturation are each computed at most once; every invariant is a
+    difference of them and raises the typed error of the first base quantity
+    it needs that fails, checked in a fixed order."""
 
     def __init__(self, omega: OneForm, X: HypersurfaceGerm):
         self.omega = omega
@@ -285,6 +285,11 @@ class LocalPair:
     mu0_X = cached_property(lambda self: milnor_hyp(self.X))
     tau0 = cached_property(lambda self: tjurina(self.X))
     gsv = cached_property(lambda self: gsv_hyp(self.omega, self.X))
+    # The colength of an ideal independent of the GSV ideal, so the two
+    # Bruce-Roberts routes stay an independent check of each other.
+    trivial = cached_property(
+        lambda self: colength(trivial_evaluation_ideal(self.omega, self.X))
+    )
     invariant = cached_property(lambda self: is_invariant(self.omega, self.X))
 
     @cached_property
@@ -310,15 +315,13 @@ class LocalPair:
 
     def bruce_roberts_trivial(self) -> int:
         """mu_BR as the colength of the trivial tangent-field evaluation minus
-        tau0.  That colength is computed afresh on every call and never
-        stored, so it stays an independent check of the GSV route."""
+        tau0."""
         self._require("tau0")
-        value = colength(trivial_evaluation_ideal(self.omega, self.X))
-        if value == INFINITY:
+        if self.trivial == INFINITY:
             raise InvariantCurveError(
                 "trivial tangent-field evaluation has infinite colength"
             )
-        return int(value - self.tau0)
+        return int(self.trivial - self.tau0)
 
     def tangency(self) -> int:
         """Plane curves only: the tangency order tang(F, X) of the foliation
@@ -369,33 +372,3 @@ class LocalPair:
             tang=int(self.gsv) if n == 2 else None,
             eu=rad - (m - 1) if n == 2 else None,
         )
-
-
-def bruce_roberts(omega: OneForm, X: HypersurfaceGerm) -> int:
-    """mu_BR(omega, X) computed as GSV + mu0(omega) - tau0(X)."""
-    return LocalPair(omega, X).bruce_roberts()
-
-
-def bruce_roberts_trivial_direct(omega: OneForm, X: HypersurfaceGerm) -> int:
-    """mu_BR via the colength of the trivial tangent-field evaluation minus tau0."""
-    return LocalPair(omega, X).bruce_roberts_trivial()
-
-
-def br_relative(omega: OneForm, X: HypersurfaceGerm) -> int:
-    """mu_BR^-(omega, X) = GSV - tau0: the relative Bruce-Roberts number."""
-    return LocalPair(omega, X).br_relative()
-
-
-def radial_index(omega: OneForm, X: HypersurfaceGerm) -> int:
-    """Radial (Schwartz) index of the restriction of omega to X."""
-    return LocalPair(omega, X).radial_index()
-
-
-def euler_obstruction_curve(omega: OneForm, X: HypersurfaceGerm) -> int:
-    """Local Euler obstruction of omega on a plane curve."""
-    return LocalPair(omega, X).euler_obstruction()
-
-
-def invariant_report(omega: OneForm, X: HypersurfaceGerm) -> InvariantReport:
-    """Compute the full battery of invariants; everything must be finite."""
-    return LocalPair(omega, X).report()

@@ -193,12 +193,6 @@ class MPoly:
             raise ValueError("ecart of the zero polynomial is undefined")
         return self.total_degree() - self.order()
 
-    def degree_in(self, i: int) -> int:
-        """Degree in variable i; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(e[i] for e, _ in self._terms)
-
     def is_homogeneous(self) -> bool:
         degs = {sum(e) for e, _ in self._terms}
         return len(degs) <= 1

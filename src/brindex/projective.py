@@ -219,6 +219,68 @@ class GlobalReport:
         return self.tau_total <= d * d + d + 1 + r * (d + r - 1)
 
 
+def _walk(
+    pf: ProjectiveFoliation, pc: ProjectiveCurve | None = None
+) -> tuple[PointContribution, ...]:
+    """The contributions of every singular point of pf and, given a curve pc,
+    of every tangency point against it, walking the three regions in order.
+    Without a curve every contribution is the Milnor number alone."""
+    out: list[PointContribution] = []
+
+    # Region 1: the affine chart z = 1.
+    fol = pf.chart_z()
+    phi = fol.ring.one() if pc is None else pc.chart_z()
+    seen: set[tuple[Fraction, Fraction]] = set()
+    if not (fol.A.is_zero or fol.B.is_zero):
+        seen.update(_affine_candidates(fol.A, fol.B, "singular"))
+    if pc is not None:
+        vphi = fol.tangent_field_applied(phi)
+        if vphi.is_zero:
+            raise InvariantCurveError("the curve is invariant by the foliation")
+        seen.update(_affine_candidates(phi, vphi, "tangency"))
+    for pt in sorted(seen):
+        out.append(_contribution_at(fol, phi, pt, (pt[0], pt[1], Fraction(1))))
+
+    # Region 2: the line at infinity minus [0:1:0], in the chart x = 1.
+    fol = pf.chart_x()
+    phi = fol.ring.one() if pc is None else pc.chart_x()
+    line_pts = set(
+        _line_candidates(
+            _restrict_to_infinity(fol.A), _restrict_to_infinity(fol.B), "singular"
+        )
+    )
+    if pc is not None:
+        vphi = fol.tangent_field_applied(phi)
+        line_pts.update(
+            _line_candidates(
+                _restrict_to_infinity(phi), _restrict_to_infinity(vphi), "tangency"
+            )
+        )
+    for u0 in sorted(line_pts):
+        out.append(
+            _contribution_at(fol, phi, (u0, Fraction(0)), (Fraction(1), u0, Fraction(0)))
+        )
+
+    # Region 3: the single remaining point [0:1:0].  Without a curve phi is 1,
+    # which is never tangent.
+    fol = pf.chart_y()
+    phi = fol.ring.one() if pc is None else pc.chart_y()
+    tangent_here = (
+        phi.constant_term() == 0
+        and fol.tangent_field_applied(phi).constant_term() == 0
+    )
+    if fol.is_singular_at_origin() or tangent_here:
+        out.append(
+            _contribution_at(
+                fol,
+                phi,
+                (Fraction(0), Fraction(0)),
+                (Fraction(0), Fraction(1), Fraction(0)),
+            )
+        )
+    return tuple(out)
+
+
 def global_br_check(omega: OneForm, phi: MPoly) -> GlobalReport:
     """Sum the local contributions over the whole projective plane.
 
@@ -228,70 +290,7 @@ def global_br_check(omega: OneForm, phi: MPoly) -> GlobalReport:
     """
     pf = ProjectiveFoliation.from_affine(omega)
     pc = ProjectiveCurve.from_affine(phi)
-
-    contributions: list[PointContribution] = []
-
-    # Region 1: the affine chart z = 1.
-    fol_z = pf.chart_z()
-    phi_z = pc.chart_z()
-    vphi_z = fol_z.tangent_field_applied(phi_z)
-    seen: set[tuple[Fraction, Fraction]] = set()
-    if not (fol_z.A.is_zero or fol_z.B.is_zero):
-        seen.update(_affine_candidates(fol_z.A, fol_z.B, "singular"))
-    if vphi_z.is_zero:
-        raise InvariantCurveError("the curve is invariant by the foliation")
-    seen.update(_affine_candidates(phi_z, vphi_z, "tangency"))
-    for pt in sorted(seen):
-        contributions.append(
-            _contribution_at(fol_z, phi_z, pt, (pt[0], pt[1], Fraction(1)))
-        )
-
-    # Region 2: the line at infinity minus [0:1:0], in the chart x = 1.
-    fol_x = pf.chart_x()
-    phi_x = pc.chart_x()
-    vphi_x = fol_x.tangent_field_applied(phi_x)
-    line_pts: set[Fraction] = set()
-    line_pts.update(
-        _line_candidates(
-            _restrict_to_infinity(fol_x.A),
-            _restrict_to_infinity(fol_x.B),
-            "singular",
-        )
-    )
-    line_pts.update(
-        _line_candidates(
-            _restrict_to_infinity(phi_x),
-            _restrict_to_infinity(vphi_x),
-            "tangency",
-        )
-    )
-    for u0 in sorted(line_pts):
-        contributions.append(
-            _contribution_at(
-                fol_x,
-                phi_x,
-                (u0, Fraction(0)),
-                (Fraction(1), u0, Fraction(0)),
-            )
-        )
-
-    # Region 3: the single remaining point [0:1:0].
-    fol_y = pf.chart_y()
-    phi_y = pc.chart_y()
-    vphi_y = fol_y.tangent_field_applied(phi_y)
-    singular_here = fol_y.A.constant_term() == 0 and fol_y.B.constant_term() == 0
-    tangent_here = phi_y.constant_term() == 0 and vphi_y.constant_term() == 0
-    if singular_here or tangent_here:
-        contributions.append(
-            _contribution_at(
-                fol_y,
-                phi_y,
-                (Fraction(0), Fraction(0)),
-                (Fraction(0), Fraction(1), Fraction(0)),
-            )
-        )
-
-    return GlobalReport(d=pf.degree, r=pc.r, points=tuple(contributions))
+    return GlobalReport(d=pf.degree, r=pc.r, points=_walk(pf, pc))
 
 
 @dataclass(frozen=True)
@@ -317,40 +316,4 @@ class MilnorSumReport:
 def foliation_milnor_sum(omega: OneForm) -> MilnorSumReport:
     """Locate all singular points of the extended foliation and sum mu_p."""
     pf = ProjectiveFoliation.from_affine(omega)
-    contributions: list[PointContribution] = []
-
-    fol_z = pf.chart_z()
-    pts: list[tuple[Fraction, Fraction]] = []
-    if not (fol_z.A.is_zero or fol_z.B.is_zero):
-        pts = _affine_candidates(fol_z.A, fol_z.B, "singular")
-    for pt in sorted(pts):
-        contributions.append(
-            _contribution_at(fol_z, fol_z.ring.one(), pt, (pt[0], pt[1], Fraction(1)))
-        )
-
-    fol_x = pf.chart_x()
-    for u0 in sorted(
-        _line_candidates(
-            _restrict_to_infinity(fol_x.A),
-            _restrict_to_infinity(fol_x.B),
-            "singular",
-        )
-    ):
-        contributions.append(
-            _contribution_at(
-                fol_x, CHART_X.one(), (u0, Fraction(0)), (Fraction(1), u0, Fraction(0))
-            )
-        )
-
-    fol_y = pf.chart_y()
-    if fol_y.A.constant_term() == 0 and fol_y.B.constant_term() == 0:
-        contributions.append(
-            _contribution_at(
-                fol_y,
-                CHART_Y.one(),
-                (Fraction(0), Fraction(0)),
-                (Fraction(0), Fraction(1), Fraction(0)),
-            )
-        )
-
-    return MilnorSumReport(d=pf.degree, points=tuple(contributions))
+    return MilnorSumReport(d=pf.degree, points=_walk(pf))

@@ -20,20 +20,13 @@ from brindex.foliation import (
     Parametrization,
     PlaneFoliation,
     order_pullback,
-    tangency_order,
 )
 from brindex.invariants import (
     HypersurfaceGerm,
-    bruce_roberts,
-    bruce_roberts_trivial_direct,
-    gsv_hyp,
+    LocalPair,
     gsv_ideal,
     intersection_mult,
-    is_invariant,
-    milnor_form,
     milnor_hyp,
-    radial_index,
-    tjurina,
     trivial_evaluation_ideal,
 )
 from brindex.localalg import INFINITY, LocalIdeal, colength, colength_oracle_auto
@@ -76,9 +69,11 @@ def _random_poly(rng: random.Random, max_deg: int) -> MPoly:
 def suite_a():
     """Randomized 1-forms (coefficient degree <= 4) against pool curves.
 
-    Every quantity is computed once per case; tests assert the identities.
-    Cases where the form is non-isolated, invariant, or has infinite index
-    are skipped, as they carry no finite statement to check.
+    Every quantity is read from one LocalPair per case; tests assert the
+    identities.  The oracle list calls ``colength`` directly, so the pair's
+    colengths are checked against an independent computation.  Cases where
+    the form is non-isolated, invariant, or has infinite index are skipped,
+    as they carry no finite statement to check.
     """
     rng = random.Random(SUITE_A_SEED)
     germs = [HypersurfaceGerm(parse_poly(s, R2)) for s in SUITE_A_CURVES]
@@ -92,16 +87,11 @@ def suite_a():
         if A.is_zero and B.is_zero:
             continue
         omega = OneForm(R2, (A, B))
-        mu0 = milnor_form(omega)
-        if mu0 == INFINITY or is_invariant(omega, X):
-            skipped += 1
-            continue
-        gsv = gsv_hyp(omega, X)
-        if gsv == INFINITY:
+        pair = LocalPair(omega, X)
+        if pair.mu0_omega == INFINITY or pair.invariant or pair.gsv == INFINITY:
             skipped += 1
             continue
         fol = PlaneFoliation.from_form(omega)
-        trivial_ideal = trivial_evaluation_ideal(omega, X)
         additivity = None
         if not (A.is_zero or B.is_zero):
             lhs = intersection_mult(X.phi, A * B)
@@ -111,18 +101,22 @@ def suite_a():
                     int(intersection_mult(X.phi, A))
                     + int(intersection_mult(X.phi, B)),
                 )
-        ideals = [LocalIdeal.make(R2, [A, B]), X.tjurina_ideal(), trivial_ideal]
+        ideals = [
+            LocalIdeal.make(R2, [A, B]),
+            X.tjurina_ideal(),
+            trivial_evaluation_ideal(omega, X),
+        ]
         cases.append(
             {
                 "X": str(X.phi),
                 "omega": (str(A), str(B)),
-                "mu0": int(mu0),
-                "gsv": int(gsv),
-                "tau": int(tjurina(X)),
-                "mu_br": bruce_roberts(omega, X),
-                "direct": bruce_roberts_trivial_direct(omega, X),
-                "trivial": int(colength(trivial_ideal)),
-                "tang": tangency_order(fol, X),
+                "mu0": int(pair.mu0_omega),
+                "gsv": int(pair.gsv),
+                "tau": int(pair.tau0),
+                "mu_br": pair.bruce_roberts(),
+                "direct": pair.bruce_roberts_trivial(),
+                "trivial": int(pair.trivial),
+                "tang": pair.tangency(),
                 "nu": fol.multiplicity(),
                 "milnor_F": int(fol.milnor()),
                 "additivity": additivity,
@@ -207,7 +201,8 @@ def suite_b():
         if not (A.is_zero and B.is_zero):
             forms.append(OneForm(R2, (A, B)))
         for omega in forms:
-            if milnor_form(omega) == INFINITY or is_invariant(omega, X):
+            pair = LocalPair(omega, X)
+            if pair.mu0_omega == INFINITY or pair.invariant:
                 continue
             fol = PlaneFoliation.from_form(omega)
             try:
@@ -222,8 +217,8 @@ def suite_b():
                     "omega": tuple(str(c) for c in omega.coeffs),
                     "mu0_X": mu0_X,
                     "order": order,
-                    "tang": tangency_order(fol, X),
-                    "rad": radial_index(omega, X),
+                    "tang": pair.tangency(),
+                    "rad": pair.radial_index(),
                     "colengths": [
                         (
                             int(colength(tang_ideal)),

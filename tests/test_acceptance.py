@@ -13,12 +13,9 @@ from brindex.cli import main as cli_main
 from brindex.foliation import PlaneFoliation, verify_blowup_formula
 from brindex.invariants import (
     HypersurfaceGerm,
+    LocalPair,
     ThetaGenerators,
-    br_relative,
-    bruce_roberts,
-    bruce_roberts_trivial_direct,
     bruce_roberts_user_theta,
-    invariant_report,
 )
 from brindex.parsing import parse_form, parse_poly
 from brindex.poly import ring
@@ -40,7 +37,7 @@ def test_criterion_01_space_curve_invariants(capfd):
     try:
         X = HypersurfaceGerm(parse_poly("x^3 + y*z^2 + y^3 + x*y^4", R3))
         omega = parse_form("z dx + x dy + y dz", R3)
-        rep = invariant_report(omega, X)
+        rep = LocalPair(omega, X).report()
         got = (rep.mu_br, rep.gsv, rep.mu0_omega, rep.tau0)
         ok = got == (14, 21, 1, 8)
         detail = f"space curve example: (mu_br, gsv, mu0, tau0) = {got}"
@@ -65,9 +62,10 @@ def test_criterion_02_monomial_curves_all_routes(capfd):
                     ),
                 )
             )
+            pair = LocalPair(omega, X)
             routes = (
-                bruce_roberts(omega, X),
-                bruce_roberts_trivial_direct(omega, X),
+                pair.bruce_roberts(),
+                pair.bruce_roberts_trivial(),
                 bruce_roberts_user_theta(omega, X, theta),
             )
             results.append((p, q, routes))
@@ -86,7 +84,7 @@ def test_criterion_03_two_forms_same_curve(capfd):
         X = HypersurfaceGerm(parse_poly("y^7 - x^3", R2))
         omega = parse_form("(y^3 + y^2 - x*y) dx + (-2*x*y^2 - x*y + x^2) dy", R2)
         eta = parse_form("(2*y^2 + x^3) dx + (-2*x*y) dy", R2)
-        reports = [invariant_report(om, X) for om in (omega, eta)]
+        reports = [LocalPair(om, X).report() for om in (omega, eta)]
         got = [
             (r.mu_br, r.mu0_omega, r.tang, r.tau0, r.mu_br_rel) for r in reports
         ]
@@ -101,8 +99,8 @@ def test_criterion_04_relative_bruce_roberts(capfd):
     ok, detail = False, ""
     try:
         omega = parse_form("y dx + x dy", R2)
-        a = br_relative(omega, HypersurfaceGerm(parse_poly("y^2 - x^5", R2)))
-        b = br_relative(omega, HypersurfaceGerm(parse_poly("y^11 - x^13", R2)))
+        a = LocalPair(omega, HypersurfaceGerm(parse_poly("y^2 - x^5", R2))).br_relative()
+        b = LocalPair(omega, HypersurfaceGerm(parse_poly("y^11 - x^13", R2))).br_relative()
         ok = (a, b) == (6, 23)
         detail = f"relative mu_br: (2,5) -> {a}, (11,13) -> {b}"
     except Exception as exc:

@@ -148,8 +148,31 @@ def test_flags_are_accepted(tmp_path, capsys):
 def test_non_positive_limits_are_rejected(tmp_path, capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
         main(["run", _write(tmp_path, GOOD), flag, value])
-    assert exc.value.code == 2
+    assert exc.value.code == 1
     assert f"must be a positive integer, got {int(value)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--steps", "abc"], "argument --steps: invalid int value: 'abc'"),
+        (["--bound", "1.5"], "argument --bound: invalid int value: '1.5'"),
+        (["--frobnicate"], "unrecognized arguments: --frobnicate"),
+    ],
+)
+def test_usage_errors_exit_1_not_the_domain_error_code(tmp_path, capsys, args, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", _write(tmp_path, GOOD), *args])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: brindex") and f"error: {message}\n" in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: brindex" in capsys.readouterr().out
 
 
 IRRATIONAL = """ring x, y

@@ -21,7 +21,6 @@ from brindex.foliation import (
     generalized_curve_check,
     order_pullback,
     strict_transform_curve,
-    tangency_order,
     verify_blowup_formula,
 )
 from brindex import elim
@@ -96,16 +95,20 @@ def test_tangent_field_applied():
     ) == -expected
 
 
+def _tangency(form: str, curve: str) -> int:
+    return LocalPair(_fol(form).form, _germ(curve)).tangency()
+
+
 def test_tangency_order_knowns():
-    assert tangency_order(_fol("y dx + x dy"), _germ("y^2 - x^5")) == 10
-    assert tangency_order(_fol("(-3*y) dx + 2*x dy"), _germ("y^2 - x^5")) == 10
-    assert tangency_order(_fol("x dx + y dy"), _germ("y")) == 1
+    assert _tangency("y dx + x dy", "y^2 - x^5") == 10
+    assert _tangency("(-3*y) dx + 2*x dy", "y^2 - x^5") == 10
+    assert _tangency("x dx + y dy", "y") == 1
 
 
 def test_tangency_order_rejects_invariant_curves():
     cusp = _germ("y^2 - x^3")
     with pytest.raises(InvariantCurveError):
-        tangency_order(PlaneFoliation.from_form(OneForm.differential(cusp.phi)), cusp)
+        LocalPair(OneForm.differential(cusp.phi), cusp).tangency()
 
 
 def test_intersection_mult_knowns():

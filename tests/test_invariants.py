@@ -13,22 +13,17 @@ from brindex.errors import (
 from brindex.invariants import (
     HypersurfaceGerm,
     InvariantReport,
+    LocalPair,
     ThetaGenerators,
     br_function,
-    br_relative,
-    bruce_roberts,
-    bruce_roberts_trivial_direct,
     bruce_roberts_user_theta,
-    euler_obstruction_curve,
     gsv_hyp,
     gsv_icis,
     gsv_ideal,
     icis_pair_milnor,
-    invariant_report,
     is_invariant,
     milnor_form,
     milnor_hyp,
-    radial_index,
     tjurina,
 )
 from brindex.localalg import INFINITY, colength, colength_oracle_auto
@@ -114,7 +109,7 @@ def test_space_curve_worked_example():
     # Cyclic 1-form on a space curve: every invariant in one report.
     X = _germ("x^3 + y*z^2 + y^3 + x*y^4", R3)
     omega = _form("z dx + x dy + y dz", R3)
-    rep = invariant_report(omega, X)
+    rep = LocalPair(omega, X).report()
     assert rep.n == 3
     assert rep.mu0_omega == 1
     assert rep.mu0_X == 8
@@ -133,8 +128,9 @@ def test_space_curve_worked_example():
 def test_monomial_curves_all_routes(p, q, expected):
     X = _germ(f"y^{p} - x^{q}")
     omega = _form("y dx + x dy")
-    assert bruce_roberts(omega, X) == expected
-    assert bruce_roberts_trivial_direct(omega, X) == expected
+    pair = LocalPair(omega, X)
+    assert pair.bruce_roberts() == expected
+    assert pair.bruce_roberts_trivial() == expected
     theta = ThetaGenerators(
         (
             (parse_poly(f"{p}*x", R2), parse_poly(f"{q}*y", R2)),
@@ -142,12 +138,12 @@ def test_monomial_curves_all_routes(p, q, expected):
         )
     )
     assert bruce_roberts_user_theta(omega, X, theta) == expected
-    assert br_relative(omega, X) == expected - 1  # mu0(omega) = 1 splits off
+    assert pair.br_relative() == expected - 1  # mu0(omega) = 1 splits off
 
 
 def test_mu_br_relative_knowns():
-    assert br_relative(_form("y dx + x dy"), _germ("y^2 - x^5")) == 6
-    assert br_relative(_form("y dx + x dy"), _germ("y^11 - x^13")) == 23
+    assert LocalPair(_form("y dx + x dy"), _germ("y^2 - x^5")).br_relative() == 6
+    assert LocalPair(_form("y dx + x dy"), _germ("y^11 - x^13")).br_relative() == 23
 
 
 def test_plane_curve_report_with_distinct_forms():
@@ -158,7 +154,7 @@ def test_plane_curve_report_with_distinct_forms():
     omega = _form("(y^3 + y^2 - x*y) dx + (-2*x*y^2 - x*y + x^2) dy")
     eta = _form("(2*y^2 + x^3) dx + (-2*x*y) dy")
     for om in (omega, eta):
-        rep = invariant_report(om, X)
+        rep = LocalPair(om, X).report()
         assert rep.mu0_omega == 5
         assert rep.tau0 == 12
         assert rep.mu_br == 17
@@ -185,14 +181,13 @@ def test_theta_generators_validation():
 
 def test_radial_and_euler_obstruction():
     X = _germ("y^2 - x^5")
-    omega = _form("(-3*y) dx + 2*x dy")
-    assert radial_index(omega, X) == 6
-    assert euler_obstruction_curve(omega, X) == 5
+    pair = LocalPair(_form("(-3*y) dx + 2*x dy"), X)
+    assert pair.radial_index() == 6
+    assert pair.euler_obstruction() == 5
     # Radial index of a radial form on a smooth point-like curve germ.
-    line = _germ("y")
-    rad_form = _form("x dx + y dy")
-    assert radial_index(rad_form, line) == 1
-    assert euler_obstruction_curve(rad_form, line) == 1
+    radial = LocalPair(_form("x dx + y dy"), _germ("y"))
+    assert radial.radial_index() == 1
+    assert radial.euler_obstruction() == 1
 
 
 def test_gsv_knowns():
@@ -250,9 +245,9 @@ def test_br_function_routes_agree():
 
 def test_report_rejects_non_isolated_form():
     with pytest.raises(NonIsolatedError):
-        invariant_report(_form("x dx + 0 dy"), CUSP)
+        LocalPair(_form("x dx + 0 dy"), CUSP).report()
 
 
 def test_report_rejects_invariant_pair():
     with pytest.raises(InvariantCurveError):
-        invariant_report(OneForm.differential(CUSP.phi), CUSP)
+        LocalPair(OneForm.differential(CUSP.phi), CUSP).report()

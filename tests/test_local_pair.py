@@ -1,5 +1,5 @@
 """LocalPair: base colengths computed once per (form, germ), errors unchanged,
-cross-check routes that keep computing their own colengths, and the tangency
+cross-check routes that compare independent colengths, and the tangency
 order of a form with a common factor."""
 
 from __future__ import annotations
@@ -88,10 +88,9 @@ def test_a_session_computes_each_base_colength_once(monkeypatch):
         X.jacobian_ideal(): 1,  # mu0(X)
         X.tjurina_ideal(): 1,  # tau0(X)
         gsv_ideal(omega, X): 1,  # GSV
-        # invariants and br each evaluate the trivial route afresh
-        trivial_evaluation_ideal(omega, X): 2,
+        trivial_evaluation_ideal(omega, X): 1,  # read by invariants and br
     })
-    assert sum(calls.values()) == 6
+    assert sum(calls.values()) == 5
 
 
 def test_a_pair_computes_each_base_quantity_at_most_once(monkeypatch):
@@ -224,6 +223,24 @@ def test_a_wrong_trivial_evaluation_colength_is_caught(monkeypatch):
     assert failed["invariants"] == {"trivial_evaluation"}
     assert failed["br"] == {"gsv_decomposition"}
     assert not failed["br-rel"] and not failed["tang"] and not failed["pullback-order"]
+
+
+def test_a_wrong_cached_trivial_colength_fails_both_routes(monkeypatch):
+    """The pair computes the trivial-evaluation colength once; a wrong value
+    still fails the check of every directive that reads it."""
+    omega, X = _ideals()
+    target = trivial_evaluation_ideal(omega, X)
+    calls = _count_colength(monkeypatch)
+    _off_by_one_on(monkeypatch, target)
+    records = run_session_text(
+        f"ring x, y\ncurve X = {CURVE}\nform w = {FORM}\n"
+        "compute invariants w X\ncompute br w X\n"
+    )
+    assert calls[target] == 1
+    assert _failed_checks(records) == {
+        "invariants": {"trivial_evaluation"},
+        "br": {"gsv_decomposition"},
+    }
 
 
 def test_a_wrong_gsv_colength_is_caught(monkeypatch):
