@@ -106,9 +106,8 @@ def test_tangency_order_knowns():
 
 
 def test_tangency_order_rejects_invariant_curves():
-    cusp = _germ("y^2 - x^3")
     with pytest.raises(InvariantCurveError):
-        LocalPair(OneForm.differential(cusp.phi), cusp).tangency()
+        _tangency("(-3*x^2) dx + 2*y dy", "y^2 - x^3")  # d(y^2 - x^3)
 
 
 def test_intersection_mult_knowns():
