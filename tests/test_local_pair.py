@@ -218,29 +218,15 @@ def _failed_checks(records) -> dict[str, set[str]]:
 
 def test_a_wrong_trivial_evaluation_colength_is_caught(monkeypatch):
     omega, X = _ideals()
-    _off_by_one_on(monkeypatch, trivial_evaluation_ideal(omega, X))
-    failed = _failed_checks(run_session_text(DEEP_SESSION))
-    assert failed["invariants"] == {"trivial_evaluation"}
-    assert failed["br"] == {"gsv_decomposition"}
-    assert not failed["br-rel"] and not failed["tang"] and not failed["pullback-order"]
-
-
-def test_a_wrong_cached_trivial_colength_fails_both_routes(monkeypatch):
-    """The pair computes the trivial-evaluation colength once; a wrong value
-    still fails the check of every directive that reads it."""
-    omega, X = _ideals()
     target = trivial_evaluation_ideal(omega, X)
     calls = _count_colength(monkeypatch)
     _off_by_one_on(monkeypatch, target)
-    records = run_session_text(
-        f"ring x, y\ncurve X = {CURVE}\nform w = {FORM}\n"
-        "compute invariants w X\ncompute br w X\n"
-    )
+    failed = _failed_checks(run_session_text(DEEP_SESSION))
+    # Computed once per pair, the wrong value still fails both directives.
     assert calls[target] == 1
-    assert _failed_checks(records) == {
-        "invariants": {"trivial_evaluation"},
-        "br": {"gsv_decomposition"},
-    }
+    assert failed["invariants"] == {"trivial_evaluation"}
+    assert failed["br"] == {"gsv_decomposition"}
+    assert not failed["br-rel"] and not failed["tang"] and not failed["pullback-order"]
 
 
 def test_a_wrong_gsv_colength_is_caught(monkeypatch):
