@@ -1,7 +1,7 @@
 """Command line front end.
 
-    brindex run FILE [--json] [--steps N] [--bound N]
-    brindex corpus [--json] [--filter STR] [--perturb] [...]
+    brindex run FILE [--json] [--steps N]
+    brindex corpus [--json] [--filter STR] [--perturb] [--steps N] [--bound N]
 
 Exit codes: 0 success, 1 parse error or bad command line, 2 mathematical
 domain error, 3 resource limit, 4 identity-check failure.
@@ -62,7 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for p in (run_p, corpus_p):
         p.add_argument("--json", action="store_true", help="JSON Lines output")
         p.add_argument("--steps", type=_positive_int, help="normal-form reduction budget")
-        p.add_argument("--bound", type=_positive_int, help="colength oracle degree cap")
+    # Only the identity sweep of the corpus runs the oracle.
+    corpus_p.add_argument("--bound", type=_positive_int, help="colength oracle degree cap")
     return parser
 
 
@@ -71,7 +72,7 @@ def main(argv=None) -> int:
     overrides = {}
     if args.steps is not None:
         overrides["max_reduction_steps"] = args.steps
-    if args.bound is not None:
+    if getattr(args, "bound", None) is not None:
         overrides["oracle_bound"] = args.bound
     if overrides:
         set_limits(**overrides)

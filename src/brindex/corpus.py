@@ -16,11 +16,11 @@ from textwrap import dedent
 
 from .config import get_limits
 from .errors import ComputationError
-from .invariants import HypersurfaceGerm, LocalPair, trivial_evaluation_ideal
+from .invariants import Check, HypersurfaceGerm, LocalPair, trivial_evaluation_ideal
 from .localalg import INFINITY, LocalIdeal, colength_oracle_auto
 from .parsing import parse_poly
 from .poly import MPoly, OneForm, ring
-from .session import Check, ResultRecord, run_session_text
+from .session import ResultRecord, run_session_text
 
 
 @dataclass(frozen=True)
@@ -331,31 +331,25 @@ def run_identity_sweep(n: int = 25, seed: int = _SWEEP_SEED) -> ResultRecord:
             skipped += 1
             continue
         attempted += 1
-        mu0, gsv = pair.mu0_omega, pair.gsv
-        mu_br = pair.bruce_roberts()
-        direct = pair.bruce_roberts_trivial()
-        trivial = pair.trivial
-        tang = pair.tangency()
+        for check in (
+            pair.gsv_decomposition(),
+            pair.trivial_evaluation(),
+            pair.relative_split(),
+            pair.tang_equals_gsv(),
+        ):
+            wins[check.name] += check.passed
         # The foliation of omega: its saturated pair, which is the pair itself
-        # unless the coefficients share a unit factor.
+        # unless the coefficients share a nonconstant factor.
         saturated, _ = pair.saturation
         nu = int(min(c.order() for c in saturated.omega.coeffs))
-        if mu_br == direct:
-            wins["gsv_decomposition"] += 1
-        if trivial == gsv + mu0:
-            wins["trivial_evaluation"] += 1
-        if mu_br == mu0 + pair.br_relative():
-            wins["relative_split"] += 1
-        if tang == gsv:
-            wins["tang_equals_gsv"] += 1
         if saturated.mu0_omega >= nu * (nu + 1) // 2:
             wins["multiplicity_bound"] += 1
         # The oracle checks the standard-basis colengths the pair and the
         # trivial route already computed.
         checked = [
-            (LocalIdeal.make(R2, [A, B]), mu0),
+            (LocalIdeal.make(R2, [A, B]), pair.mu0_omega),
             (X.tjurina_ideal(), pair.tau0),
-            (trivial_evaluation_ideal(omega, X), trivial),
+            (trivial_evaluation_ideal(omega, X), pair.trivial),
         ]
         agreed = all(colength_oracle_auto(I, cap=cap) == value for I, value in checked)
         if agreed:

@@ -35,7 +35,7 @@ from itertools import combinations
 from math import gcd, lcm
 
 from .errors import ComputationError, IrrationalPointError
-from .poly import MPoly, Ring, exact_divide, ring
+from .poly import MPoly, exact_divide
 
 # -- recursive dense polynomials over Z ----------------------------------------
 
@@ -711,14 +711,15 @@ def rational_common_zeros(
     res = resultant(f, g, 1)
     if res.is_zero:
         raise ComputationError("polynomials share a factor; zero set is not finite")
-    uni = ring(f.ring.names[0])
-    res_x = _drop_second(res, uni)
+    if any(e[1] for e, _ in res.terms()):
+        raise ValueError("polynomial still involves the eliminated variable")
+    res_x = res.restrict(1)
     points: list[tuple[Fraction, Fraction]] = []
     if res_x.total_degree() == 0:
         return points
     for x0, _ in rational_roots(res_x):
-        fy = _fiber(f, x0)
-        gy = _fiber(g, x0)
+        fy = f.restrict(0, x0)
+        gy = g.restrict(0, x0)
         if fy.is_zero and gy.is_zero:
             raise ComputationError("polynomials share a vertical line of zeros")
         h = gy if fy.is_zero else fy if gy.is_zero else poly_gcd(fy, gy)
@@ -729,18 +730,3 @@ def rational_common_zeros(
     points.sort()
     return points
 
-
-def _drop_second(p: MPoly, target: Ring) -> MPoly:
-    """Reinterpret a bivariate polynomial free of its second variable."""
-    acc = {}
-    for e, c in p.terms():
-        if e[1] != 0:
-            raise ValueError("polynomial still involves the eliminated variable")
-        acc[(e[0],)] = c
-    return MPoly(target, acc)
-
-
-def _fiber(p: MPoly, x0: Fraction) -> MPoly:
-    """p(x0, y) as a univariate polynomial in the second variable."""
-    uni = ring(p.ring.names[1])
-    return p.subs(uni, [uni.constant(x0), uni.var(0)])

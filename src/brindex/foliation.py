@@ -15,7 +15,7 @@ nu + 1 in the dicritical case.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, asdict, dataclass
 from fractions import Fraction
 
 from .elim import poly_gcd, rational_roots, saturate
@@ -25,7 +25,7 @@ from .errors import (
     IrrationalPointError,
     NonIsolatedError,
 )
-from .invariants import HypersurfaceGerm, LocalPair
+from .invariants import Check, HypersurfaceGerm, LocalPair
 from .localalg import INFINITY, LocalIdeal, colength
 from .poly import MPoly, OneForm, Ring, exact_divide, ring
 
@@ -226,23 +226,13 @@ class ExceptionalPoint:
     coord: Fraction  # t0 in chart "xt"; 0 in chart "uy"
 
 
-def _divisor_restriction(p: MPoly, divisor_var: int) -> MPoly:
-    """Restrict to the divisor; univariate in the other chart coordinate."""
-    other = 1 - divisor_var
-    uni = ring(p.ring.names[other])
-    images = [None, None]
-    images[divisor_var] = uni.zero()
-    images[other] = uni.var(0)
-    return p.subs(uni, images)
-
-
 def exceptional_singularities(bl: BlowupResult) -> list[tuple[ExceptionalPoint, int]]:
     """Singular points of the strict transform on the divisor, with local
     Milnor numbers.  All such points must be rational."""
     out: list[tuple[ExceptionalPoint, int]] = []
     Fxt = bl.chart_xt
-    a0 = _divisor_restriction(Fxt.A, 0)
-    b0 = _divisor_restriction(Fxt.B, 0)
+    a0 = Fxt.A.restrict(0)
+    b0 = Fxt.B.restrict(0)
     if a0.is_zero and b0.is_zero:
         raise ComputationError("strict transform vanishes on the divisor")
     h = b0 if a0.is_zero else a0 if b0.is_zero else poly_gcd(a0, b0)
@@ -305,7 +295,7 @@ def strict_transform_curve(X: HypersurfaceGerm) -> CurveBlowup:
     total_uy = X.phi.subs(CHART_UY, [u2 * y2, y2])
     strict_uy = _strip_var_power(total_uy, 1, m)
 
-    cone = _divisor_restriction(strict_xt, 0)  # degree-m binary form at x = 0
+    cone = strict_xt.restrict(0)  # degree-m binary form at x = 0
     points: list[Fraction] = []
     if cone.total_degree() > 0:
         try:
@@ -381,17 +371,20 @@ class BlowupReport:
             return (nu + 1) ** 2 - (nu + 2) + self.sum_mu_all
         return nu * nu - (nu + 1) + self.sum_mu_all
 
-    @property
-    def main_ok(self) -> bool:
-        return self.mu_br_origin == self.rhs_mu_br
+    def values(self) -> dict:
+        """The fields by name, in field order, with q as its chart and
+        coordinate."""
+        out = asdict(self)
+        del out["q"]
+        return {**out, "q_chart": self.q.chart, "q_coord": str(self.q.coord)}
 
-    @property
-    def relative_ok(self) -> bool:
-        return self.mu_br_rel_origin == self.rhs_mu_br_rel
-
-    @property
-    def conservation_ok(self) -> bool:
-        return self.mu0_F == self.rhs_conservation
+    def checks(self) -> list[Check]:
+        main = "blowup_dicritical" if self.dicritical else "blowup_nondicritical"
+        return [
+            Check.equal(main, self.mu_br_origin, self.rhs_mu_br),
+            Check.equal("blowup_relative", self.mu_br_rel_origin, self.rhs_mu_br_rel),
+            Check.equal("milnor_conservation", self.mu0_F, self.rhs_conservation),
+        ]
 
 
 def verify_blowup_formula(
@@ -445,25 +438,27 @@ def verify_blowup_formula(
 class GeneralizedCurveReport:
     """Second-kind discrepancy of a foliation against its separatrix curve."""
 
+    delta: int
+    mu0_F: int
+    mu0_dsep: int
     mu_br_F: int
     mu_br_sep: int
     mu_br_rel_F: int
     mu_br_rel_sep: int
-    mu0_F: int
-    mu0_dsep: int
-    delta: int
-
-    @property
-    def delta_direct(self) -> int:
-        return self.mu0_F - self.mu0_dsep
-
-    @property
-    def routes_agree(self) -> bool:
-        return self.delta == self.delta_direct
 
     @property
     def is_generalized_curve(self) -> bool:
         return self.delta == 0
+
+    def values(self) -> dict:
+        return {**asdict(self), "is_generalized_curve": self.is_generalized_curve}
+
+    def checks(self) -> list[Check]:
+        """delta against mu0(F) - mu0(d f_sep): an arithmetic identity, since
+        each mu_BR - mu_BR^- difference is that pair's mu0 of the form."""
+        return [
+            Check.equal("generalized_curve_delta", self.delta, self.mu0_F - self.mu0_dsep)
+        ]
 
 
 def generalized_curve_check(
@@ -492,16 +487,17 @@ def generalized_curve_check(
     mu0_F, mu0_dsep = int(along_F.mu0_omega), int(along_sep.mu0_omega)
     delta = (mu_br_F - mu_br_sep) - (mu_br_rel_F - mu_br_rel_sep)
     report = GeneralizedCurveReport(
+        delta=delta,
+        mu0_F=mu0_F,
+        mu0_dsep=mu0_dsep,
         mu_br_F=mu_br_F,
         mu_br_sep=mu_br_sep,
         mu_br_rel_F=mu_br_rel_F,
         mu_br_rel_sep=mu_br_rel_sep,
-        mu0_F=mu0_F,
-        mu0_dsep=mu0_dsep,
-        delta=delta,
     )
-    if not report.routes_agree:
+    (check,) = report.checks()
+    if not check.passed:
         raise ComputationError(
-            f"generalized-curve routes disagree: {report.delta} vs {report.delta_direct}"
+            f"generalized-curve routes disagree: {check.lhs} vs {check.rhs}"
         )
     return report

@@ -36,6 +36,31 @@ from .poly import MPoly, OneForm, exact_divide, wedge_coeffs
 
 
 @dataclass(frozen=True)
+class Check:
+    """One identity check: its name, both sides, and whether it held."""
+
+    name: str
+    lhs: object
+    rhs: object
+    passed: bool
+
+    @classmethod
+    def equal(cls, name: str, lhs, rhs) -> "Check":
+        return cls(name, lhs, rhs, lhs == rhs)
+
+    @classmethod
+    def at_most(cls, name: str, lhs, rhs) -> "Check":
+        return cls(name, lhs, rhs, lhs <= rhs)
+
+
+def _fin(value) -> object:
+    """Colengths go to JSON as ints, or the literal string \"infinity\"."""
+    if value == INFINITY:
+        return "infinity"
+    return int(value)
+
+
+@dataclass(frozen=True)
 class HypersurfaceGerm:
     """A reduced hypersurface germ (X, 0) = {phi = 0}.
 
@@ -225,14 +250,12 @@ def br_function(f: MPoly, X: HypersurfaceGerm) -> int:
     The GSV route is compared with the trivial tangent-field evaluation, an
     independent ideal; a mismatch is reported as an internal error.
     """
-    pair = LocalPair(OneForm.differential(f), X)
-    direct = pair.bruce_roberts()
-    trivial = pair.bruce_roberts_trivial()
-    if direct != trivial:
+    check = LocalPair(OneForm.differential(f), X).gsv_decomposition()
+    if not check.passed:
         raise ComputationError(
-            f"function Bruce-Roberts routes disagree: {direct} vs {trivial}"
+            f"function Bruce-Roberts routes disagree: {check.rhs} vs {check.lhs}"
         )
-    return direct
+    return check.rhs
 
 
 @dataclass(frozen=True)
@@ -253,9 +276,7 @@ class InvariantReport:
 
     def as_dict(self) -> dict:
         """The invariants by name, in field order; tang and eu only when set."""
-        out = {k: v for k, v in asdict(self).items() if v is not None}
-        del out["n"], out["multiplicity"]
-        return out
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 # The value each base quantity must not take, and the typed error if it does.
@@ -336,6 +357,12 @@ class LocalPair:
             raise InvariantCurveError("a branch of the curve is invariant")
         return int(saturated.gsv)
 
+    def gsv_by_tangency(self) -> object:
+        """Plane curves only: tang(F, X) + i_0(g, phi), which equals
+        GSV(omega, X) for omega = g * omega'; "infinity" when g shares a branch
+        with X."""
+        return _fin(self.tangency() + self.saturation[1])
+
     def br_relative(self) -> int:
         """mu_BR^- = GSV - tau0(X)."""
         self._require("tau0", "gsv")
@@ -372,3 +399,31 @@ class LocalPair:
             tang=int(self.gsv) if n == 2 else None,
             eu=rad - (m - 1) if n == 2 else None,
         )
+
+    # -- identity checks: each one built here and nowhere else -------------
+
+    def gsv_decomposition(self) -> Check:
+        """The trivial-evaluation route to mu_BR against the main theorem's
+        GSV + mu0(omega) - tau0(X); the theorem's route is evaluated first."""
+        value = self.bruce_roberts()
+        return Check.equal("gsv_decomposition", self.bruce_roberts_trivial(), value)
+
+    def trivial_evaluation(self) -> Check:
+        """The trivial-evaluation colength against GSV + mu0(omega): the
+        comparison of gsv_decomposition with tau0(X) added to both sides."""
+        return Check.equal(
+            "trivial_evaluation", _fin(self.trivial), _fin(self.gsv + self.mu0_omega)
+        )
+
+    def relative_split(self) -> Check:
+        """mu_BR against mu0(omega) + mu_BR^-, an arithmetic identity of the
+        two differences; mu_BR^- is evaluated first."""
+        relative = self.br_relative()
+        return Check.equal(
+            "relative_split", self.bruce_roberts(), _fin(self.mu0_omega + relative)
+        )
+
+    def tang_equals_gsv(self) -> Check:
+        """tang(F, X) + i_0(g, phi) against GSV(omega, X); definitional for a
+        saturated form, whose tangency order is its own GSV index."""
+        return Check.equal("tang_equals_gsv", self.gsv_by_tangency(), _fin(self.gsv))

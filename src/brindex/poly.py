@@ -363,6 +363,17 @@ class MPoly:
             total += val
         return total
 
+    def restrict(self, which: int, value: Scalar = 0) -> "MPoly":
+        """A bivariate polynomial with variable ``which`` set to ``value``, as
+        a univariate polynomial in the other variable."""
+        keep = 1 - which
+        value = Fraction(value)
+        acc: dict = {}
+        for e, c in self._terms:
+            out = (e[keep],)
+            acc[out] = acc.get(out, Fraction(0)) + c * value ** e[which]
+        return MPoly(ring(self.ring.names[keep]), acc)
+
     def translate(self, point: Sequence[Scalar]) -> "MPoly":
         """Recenter: returns f(x + p), so the point p moves to the origin."""
         images = [

@@ -24,7 +24,7 @@ from .errors import (
     IrrationalPointError,
 )
 from .foliation import PlaneFoliation
-from .invariants import HypersurfaceGerm, LocalPair
+from .invariants import Check, HypersurfaceGerm, LocalPair
 from .localalg import INFINITY
 from .poly import MPoly, OneForm, ring
 
@@ -142,12 +142,6 @@ def _line_candidates(a: MPoly, b: MPoly, what: str) -> list[Fraction]:
         ) from exc
 
 
-def _restrict_to_infinity(p: MPoly) -> MPoly:
-    """Set the second chart coordinate to zero; univariate in the first."""
-    uni = ring(p.ring.names[0])
-    return p.subs(uni, [uni.var(0), uni.zero()])
-
-
 @dataclass(frozen=True)
 class PointContribution:
     point: tuple[Fraction, Fraction, Fraction]  # projective coordinates
@@ -181,42 +175,76 @@ def _contribution_at(
 
 
 @dataclass(frozen=True)
-class GlobalReport:
-    """Two sides of the global tangency sum on the projective plane."""
+class MilnorSumReport:
+    """Milnor numbers of all singular points against d^2 + d + 1."""
 
     d: int  # foliation degree
-    r: int  # curve degree
     points: tuple[PointContribution, ...]
-
-    @property
-    def lhs(self) -> int:
-        return sum(p.term for p in self.points)
 
     @property
     def mu_sum(self) -> int:
         return sum(p.mu for p in self.points)
 
     @property
+    def expected(self) -> int:
+        return self.d * self.d + self.d + 1
+
+    def values(self) -> dict:
+        return {
+            "d": self.d,
+            "mu_sum": self.mu_sum,
+            "expected": self.expected,
+            "points": [[str(c) for c in p.point] + [p.mu] for p in self.points],
+        }
+
+    def checks(self) -> list[Check]:
+        return [Check.equal("milnor_sum", self.mu_sum, self.expected)]
+
+
+@dataclass(frozen=True)
+class GlobalReport(MilnorSumReport):
+    """Two sides of the global tangency sum on the projective plane; the
+    points are the singular points of the foliation and the tangency points
+    of the curve, so their Milnor numbers still sum to d^2 + d + 1."""
+
+    r: int  # curve degree
+
+    @property
+    def lhs(self) -> int:
+        return sum(p.term for p in self.points)
+
+    @property
     def tau_total(self) -> int:
         return sum(p.tau for p in self.points)
 
     @property
+    def total(self) -> int:
+        """d^2 + d + 1 + r(d + r - 1), the sum of mu_p + tang_p."""
+        return self.expected + self.r * (self.d + self.r - 1)
+
+    @property
     def rhs(self) -> int:
-        d, r = self.d, self.r
-        return d * d + d + 1 + r * (d + r - 1) - self.tau_total
+        return self.total - self.tau_total
 
-    @property
-    def global_sum_ok(self) -> bool:
-        return self.lhs == self.rhs
+    def values(self) -> dict:
+        return {
+            "d": self.d,
+            "r": self.r,
+            "lhs": self.lhs,
+            "rhs": self.rhs,
+            "mu_sum": self.mu_sum,
+            "tau_total": self.tau_total,
+            "points": [
+                [str(c) for c in p.point] + [p.mu, p.tang, p.tau] for p in self.points
+            ],
+        }
 
-    @property
-    def milnor_sum_ok(self) -> bool:
-        return self.mu_sum == self.d * self.d + self.d + 1
-
-    @property
-    def tjurina_bound_ok(self) -> bool:
-        d, r = self.d, self.r
-        return self.tau_total <= d * d + d + 1 + r * (d + r - 1)
+    def checks(self) -> list[Check]:
+        return [
+            Check.equal("global_sum", self.lhs, self.rhs),
+            *super().checks(),
+            Check.at_most("tjurina_bound", self.tau_total, self.total),
+        ]
 
 
 def _walk(
@@ -246,14 +274,14 @@ def _walk(
     phi = fol.ring.one() if pc is None else pc.chart_x()
     line_pts = set(
         _line_candidates(
-            _restrict_to_infinity(fol.A), _restrict_to_infinity(fol.B), "singular"
+            fol.A.restrict(1), fol.B.restrict(1), "singular"
         )
     )
     if pc is not None:
         vphi = fol.tangent_field_applied(phi)
         line_pts.update(
             _line_candidates(
-                _restrict_to_infinity(phi), _restrict_to_infinity(vphi), "tangency"
+                phi.restrict(1), vphi.restrict(1), "tangency"
             )
         )
     for u0 in sorted(line_pts):
@@ -291,26 +319,6 @@ def global_br_check(omega: OneForm, phi: MPoly) -> GlobalReport:
     pf = ProjectiveFoliation.from_affine(omega)
     pc = ProjectiveCurve.from_affine(phi)
     return GlobalReport(d=pf.degree, r=pc.r, points=_walk(pf, pc))
-
-
-@dataclass(frozen=True)
-class MilnorSumReport:
-    """Milnor numbers of all singular points against d^2 + d + 1."""
-
-    d: int
-    points: tuple[PointContribution, ...]
-
-    @property
-    def mu_sum(self) -> int:
-        return sum(p.mu for p in self.points)
-
-    @property
-    def expected(self) -> int:
-        return self.d * self.d + self.d + 1
-
-    @property
-    def ok(self) -> bool:
-        return self.mu_sum == self.expected
 
 
 def foliation_milnor_sum(omega: OneForm) -> MilnorSumReport:

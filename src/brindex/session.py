@@ -36,37 +36,22 @@ from .foliation import (
     verify_blowup_formula,
 )
 from .invariants import (
+    Check,
     HypersurfaceGerm,
     LocalPair,
     ThetaGenerators,
+    _fin,
     bruce_roberts_user_theta,
     gsv_icis,
     milnor_form,
     milnor_hyp,
     tjurina,
 )
-from .localalg import INFINITY
 from .parsing import parse_form, parse_poly
 from .poly import MPoly, OneForm, Ring, ring
 from .projective import foliation_milnor_sum, global_br_check
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-
-
-@dataclass(frozen=True)
-class Check:
-    name: str
-    lhs: object
-    rhs: object
-    passed: bool
-
-    @classmethod
-    def equal(cls, name: str, lhs, rhs) -> "Check":
-        return cls(name, lhs, rhs, lhs == rhs)
-
-    @classmethod
-    def at_most(cls, name: str, lhs, rhs) -> "Check":
-        return cls(name, lhs, rhs, lhs <= rhs)
 
 
 @dataclass
@@ -91,18 +76,6 @@ class ResultRecord:
                 for c in self.checks
             ],
         }
-
-
-def _fin(value) -> object:
-    """Colengths go to JSON as ints, or the literal string \"infinity\"."""
-    if value == INFINITY:
-        return "infinity"
-    return int(value)
-
-
-def _tang_plus_i0(pair: LocalPair) -> object:
-    """tang(F, X) + i_0(g, phi), which equals GSV(omega, X) for omega = g * omega'."""
-    return _fin(pair.tangency() + pair.saturation[1])
 
 
 class Session:
@@ -287,21 +260,16 @@ class Session:
         self._need_args(args, (2,), "invariants FORM CURVE", line)
         pair = self._pair(args[0], args[1], line)
         rep = pair.report()
-        values = {"n": rep.n, "multiplicity": rep.multiplicity}
-        values.update(rep.as_dict())
-        checks = [
-            Check.equal("trivial_evaluation", _fin(pair.trivial), rep.gsv + rep.mu0_omega),
-            Check.equal("relative_split", rep.mu_br, rep.mu0_omega + rep.mu_br_rel),
-        ]
+        checks = [pair.trivial_evaluation(), pair.relative_split()]
         if rep.n == 2:
-            checks.append(Check.equal("tang_equals_gsv", _tang_plus_i0(pair), rep.gsv))
-        return ResultRecord("invariants", tuple(args), values, checks)
+            checks.append(pair.tang_equals_gsv())
+        return ResultRecord("invariants", tuple(args), rep.as_dict(), checks)
 
     def _run_br(self, args, line) -> ResultRecord:
         self._need_args(args, (2, 3), "br FORM CURVE [THETA]", line)
         pair = self._pair(args[0], args[1], line)
         value = pair.bruce_roberts()
-        checks = [Check.equal("gsv_decomposition", pair.bruce_roberts_trivial(), value)]
+        checks = [pair.gsv_decomposition()]
         values = {"mu_br": value}
         if len(args) == 3:
             theta = self._get(self.thetas, args[2], "theta", line)
@@ -314,10 +282,9 @@ class Session:
         self._need_args(args, (2,), "br-rel FORM CURVE", line)
         pair = self._pair(args[0], args[1], line)
         value = pair.br_relative()
-        check = Check.equal(
-            "relative_split", pair.bruce_roberts(), _fin(pair.mu0_omega + value)
+        return ResultRecord(
+            "br-rel", tuple(args), {"mu_br_rel": value}, [pair.relative_split()]
         )
-        return ResultRecord("br-rel", tuple(args), {"mu_br_rel": value}, [check])
 
     def _run_gsv(self, args, line) -> ResultRecord:
         if len(args) < 2:
@@ -355,8 +322,7 @@ class Session:
         self._need_args(args, (2,), "tang FORM CURVE", line)
         pair = self._pair(args[0], args[1], line)
         value = pair.tangency()
-        check = Check.equal("tang_equals_gsv", _tang_plus_i0(pair), _fin(pair.gsv))
-        return ResultRecord("tang", tuple(args), {"tang": value}, [check])
+        return ResultRecord("tang", tuple(args), {"tang": value}, [pair.tang_equals_gsv()])
 
     def _run_radial(self, args, line) -> ResultRecord:
         self._need_args(args, (2,), "radial FORM CURVE", line)
@@ -391,29 +357,7 @@ class Session:
         omega = self._get(self.forms, args[0], "form", line)
         X = self._germ_of(args[1], line)
         rep = verify_blowup_formula(PlaneFoliation.from_form(omega), X)
-        values = {
-            "nu": rep.nu,
-            "m": rep.m,
-            "k": rep.k,
-            "dicritical": rep.dicritical,
-            "mu_br_origin": rep.mu_br_origin,
-            "mu_br_q": rep.mu_br_q,
-            "mu_br_rel_origin": rep.mu_br_rel_origin,
-            "mu_br_rel_q": rep.mu_br_rel_q,
-            "sum_mu_other": rep.sum_mu_other,
-            "sum_mu_all": rep.sum_mu_all,
-            "mu0_F": rep.mu0_F,
-            "delta_drop": rep.delta_drop,
-            "q_chart": rep.q.chart,
-            "q_coord": str(rep.q.coord),
-        }
-        main_name = "blowup_dicritical" if rep.dicritical else "blowup_nondicritical"
-        checks = [
-            Check.equal(main_name, rep.mu_br_origin, rep.rhs_mu_br),
-            Check.equal("blowup_relative", rep.mu_br_rel_origin, rep.rhs_mu_br_rel),
-            Check.equal("milnor_conservation", rep.mu0_F, rep.rhs_conservation),
-        ]
-        return ResultRecord("blowup-verify", tuple(args), values, checks)
+        return ResultRecord("blowup-verify", tuple(args), rep.values(), rep.checks())
 
     def _run_pullback_order(self, args, line) -> ResultRecord:
         self._need_args(args, (2, 3), "pullback-order FORM PARAM [CURVE]", line)
@@ -425,7 +369,7 @@ class Session:
             order = order_pullback(omega, param, pair.X)
             checks.append(
                 Check.equal(
-                    "pullback_order_identity", _tang_plus_i0(pair), _fin(order + pair.mu0_X)
+                    "pullback_order_identity", pair.gsv_by_tangency(), _fin(order + pair.mu0_X)
                 )
             )
             checks.append(Check.equal("radial_pullback", pair.radial_index(), order))
@@ -441,55 +385,16 @@ class Session:
         sep = self._get_poly_like(args[1], line)
         X = self._germ_of(args[2], line)
         rep = generalized_curve_check(PlaneFoliation.from_form(omega), sep, X)
-        values = {
-            "delta": rep.delta,
-            "mu0_F": rep.mu0_F,
-            "mu0_dsep": rep.mu0_dsep,
-            "mu_br_F": rep.mu_br_F,
-            "mu_br_sep": rep.mu_br_sep,
-            "mu_br_rel_F": rep.mu_br_rel_F,
-            "mu_br_rel_sep": rep.mu_br_rel_sep,
-            "is_generalized_curve": rep.is_generalized_curve,
-        }
-        check = Check.equal("generalized_curve_delta", rep.delta, rep.delta_direct)
-        return ResultRecord("gc-check", tuple(args), values, [check])
+        return ResultRecord("gc-check", tuple(args), rep.values(), rep.checks())
 
     def _run_p2_check(self, args, line) -> ResultRecord:
         self._need_args(args, (1, 2), "p2-check FORM [CURVE]", line)
         omega = self._get(self.forms, args[0], "form", line)
         if len(args) == 1:
             rep = foliation_milnor_sum(omega)
-            values = {
-                "d": rep.d,
-                "mu_sum": rep.mu_sum,
-                "expected": rep.expected,
-                "points": [
-                    [str(c) for c in p.point] + [p.mu] for p in rep.points
-                ],
-            }
-            checks = [Check.equal("milnor_sum", rep.mu_sum, rep.expected)]
-            return ResultRecord("p2-check", tuple(args), values, checks)
-        phi = self._get_poly_like(args[1], line)
-        rep = global_br_check(omega, phi)
-        values = {
-            "d": rep.d,
-            "r": rep.r,
-            "lhs": rep.lhs,
-            "rhs": rep.rhs,
-            "mu_sum": rep.mu_sum,
-            "tau_total": rep.tau_total,
-            "points": [
-                [str(c) for c in p.point] + [p.mu, p.tang, p.tau]
-                for p in rep.points
-            ],
-        }
-        d, r = rep.d, rep.r
-        checks = [
-            Check.equal("global_sum", rep.lhs, rep.rhs),
-            Check.equal("milnor_sum", rep.mu_sum, d * d + d + 1),
-            Check.at_most("tjurina_bound", rep.tau_total, d * d + d + 1 + r * (d + r - 1)),
-        ]
-        return ResultRecord("p2-check", tuple(args), values, checks)
+        else:
+            rep = global_br_check(omega, self._get_poly_like(args[1], line))
+        return ResultRecord("p2-check", tuple(args), rep.values(), rep.checks())
 
 
 def run_session_text(text: str) -> list[ResultRecord]:

@@ -124,7 +124,12 @@ def test_criterion_05_blowup_ledgers(capfd):
             rep1.delta_drop,
             rep1.dicritical,
         )
-        ok1 = g1 == (7, 1, 2, 5, 1, 1, False) and rep1.main_ok and rep1.relative_ok
+        passed1 = {c.name: c.passed for c in rep1.checks()}
+        ok1 = (
+            g1 == (7, 1, 2, 5, 1, 1, False)
+            and passed1["blowup_nondicritical"]
+            and passed1["blowup_relative"]
+        )
         rep2 = verify_blowup_formula(
             PlaneFoliation.from_form(
                 parse_form("(2*x^7 + 5*y^5) dx + (-5*x*y^4 - 3*x^6*y^2) dy", R2)
@@ -141,11 +146,8 @@ def test_criterion_05_blowup_ledgers(capfd):
             rep2.delta_drop,
             rep2.dicritical,
         )
-        ok2 = (
-            g2 == (56, 5, 3, 9, 4, 33, 3, True)
-            and rep2.main_ok
-            and rep2.relative_ok
-            and rep2.conservation_ok
+        ok2 = g2 == (56, 5, 3, 9, 4, 33, 3, True) and all(
+            c.passed for c in rep2.checks()
         )
         ok = ok1 and ok2
         detail = f"blow-up ledgers: non-dicritical {g1}, dicritical {g2}"
@@ -244,8 +246,12 @@ def test_criterion_09_global_projective_sums(capfd):
         ok = (
             sums["pencil-line"] == (4, 4)
             and sums["radial-line"] == (1, 1)
-            and all(r.global_sum_ok for r in reports.values())
-            and all(r.tjurina_bound_ok for r in reports.values())
+            and all(
+                c.passed
+                for r in reports.values()
+                for c in r.checks()
+                if c.name in ("global_sum", "tjurina_bound")
+            )
         )
         detail = "global sums " + ", ".join(
             f"{k}: {l}={r}" for k, (l, r) in sums.items()

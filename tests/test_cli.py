@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import brindex
 from brindex.cli import main
@@ -136,9 +140,9 @@ def test_corpus_filter_runs_a_subset(capsys):
 
 
 def test_flags_are_accepted(tmp_path, capsys):
-    code = main(
-        ["run", _write(tmp_path, GOOD), "--bound", "48", "--steps", "100000"]
-    )
+    assert main(["run", _write(tmp_path, GOOD), "--steps", "100000"]) == 0
+    # --bound caps the oracle, which only the corpus's identity sweep runs.
+    code = main(["corpus", "--filter", "sweep", "--bound", "48", "--steps", "100000"])
     assert code == 0
     capsys.readouterr()
 
@@ -146,23 +150,26 @@ def test_flags_are_accepted(tmp_path, capsys):
 @pytest.mark.parametrize("flag", ["--steps", "--bound"])
 @pytest.mark.parametrize("value", ["0", "-5"])
 def test_non_positive_limits_are_rejected(tmp_path, capsys, flag, value):
+    command = ["corpus"] if flag == "--bound" else ["run", _write(tmp_path, GOOD)]
     with pytest.raises(SystemExit) as exc:
-        main(["run", _write(tmp_path, GOOD), flag, value])
+        main([*command, flag, value])
     assert exc.value.code == 1
     assert f"must be a positive integer, got {int(value)}" in capsys.readouterr().err
 
 
+# The command line is rejected while it is parsed, before the file is read.
 @pytest.mark.parametrize(
     "args, message",
     [
-        (["--steps", "abc"], "argument --steps: invalid int value: 'abc'"),
-        (["--bound", "1.5"], "argument --bound: invalid int value: '1.5'"),
-        (["--frobnicate"], "unrecognized arguments: --frobnicate"),
+        (["run", "s.session", "--steps", "abc"], "argument --steps: invalid int value: 'abc'"),
+        (["corpus", "--bound", "1.5"], "argument --bound: invalid int value: '1.5'"),
+        (["run", "s.session", "--frobnicate"], "unrecognized arguments: --frobnicate"),
+        (["run", "s.session", "--bound", "48"], "unrecognized arguments: --bound 48"),
     ],
 )
-def test_usage_errors_exit_1_not_the_domain_error_code(tmp_path, capsys, args, message):
+def test_usage_errors_exit_1_not_the_domain_error_code(capsys, args, message):
     with pytest.raises(SystemExit) as exc:
-        main(["run", _write(tmp_path, GOOD), *args])
+        main(args)
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert err.startswith("usage: brindex") and f"error: {message}\n" in err
@@ -206,6 +213,96 @@ def test_no_runtime_path_imports_sympy(tmp_path, capsys):
         "error: line 6: irrational singular point: polynomial -25*x - 18*x^2 - 3*x^3 "
         "+ 2*x^4 has a root not in Q (factor 2*x**3 - 3*x**2 - 18*x - 25)\n"
     )
+
+
+# -- fuzzing -------------------------------------------------------------------------
+
+# The arguments each directive takes, as bound by every fuzzed session.
+USAGE = {
+    "invariants": "w X", "br": "w X T", "br-rel": "w X", "gsv": "w X", "milnor": "w",
+    "tjurina": "X", "tang": "w X", "radial": "w X", "euler": "w X", "blowup": "w",
+    "blowup-verify": "w X", "pullback-order": "w c X", "gc-check": "w f X",
+    "p2-check": "w f", "bogus": "w",
+}
+
+
+CURVES = ("y^2 - x^3", "y^3 - x^4", "x*y", "y - x^2", "(y^2 - x^3)*(1 + x)")
+
+
+@st.composite
+def _poly(draw) -> str:
+    """A polynomial of degree at most 4 in x and y, or now and then a
+    malformed one."""
+    terms = draw(st.lists(
+        st.tuples(st.integers(-2, 2), st.integers(0, 2), st.integers(0, 2)), max_size=3
+    ))
+    text = " + ".join(f"({c})*x^{i}*y^{j}" for c, i, j in terms) or "0"
+    return draw(st.sampled_from((text,) * 15 + ("x +", "x^^2", "(x")))
+
+
+@st.composite
+def _compute(draw) -> str:
+    directive = draw(st.sampled_from(sorted(USAGE)))
+    args = draw(st.sampled_from(
+        (USAGE[directive].split(),) * 3 + (["X"], ["w", "nope"], [])
+    ))
+    return " ".join(["compute", directive, *args])
+
+
+@st.composite
+def _session(draw) -> str:
+    head = draw(st.sampled_from(("ring x, y",) * 4 + ("ring x, y, z", "ring x, x", "")))
+    a, b = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    lines = [
+        head,
+        f"curve X = {draw(st.sampled_from(CURVES) | _poly())}",
+        f"form w = {draw(_poly())} dx + {draw(_poly())} dy",
+        f"poly f = {draw(_poly())}",
+        f"param c = (t^{a}, t^{b})",
+        f"theta T = [{draw(_poly())}, {draw(_poly())}; {draw(_poly())}, x]",
+        *draw(st.lists(_compute(), min_size=1, max_size=3)),
+    ]
+    if draw(st.integers(0, 4)) == 0:
+        garbage = draw(st.text(alphabet="xyz t=+-*^(),;[]d#", max_size=12))
+        lines.insert(draw(st.integers(0, len(lines))), garbage)
+    return "\n".join(lines) + "\n"
+
+
+GOOD_FLAGS = (["--json"], ["--steps", "1"], ["--steps", "3000"])
+FLAGS = GOOD_FLAGS * 4 + (
+    ["--steps", "0"], ["--steps", "x"], ["--bound", "8"], ["--perturb"], ["--filter", "p2"],
+    ["--frobnicate"], ["--help"],
+)
+# Corpus cases small enough to run in every example.
+CHEAP_CASES = ("p2-milnor-sum", "space-icis", "pullback-m2q5", "no-such-case")
+
+
+@given(
+    text=_session(),
+    command=st.sampled_from(("run", "run", "run", "corpus", "bogus")),
+    case=st.sampled_from(CHEAP_CASES),
+    flags=st.lists(st.sampled_from(FLAGS), max_size=2),
+)
+def test_any_session_and_command_line_ends_in_an_exit_code(
+    tmp_path_factory, text, command, case, flags
+):
+    """main runs in this process on a small session and argv: every outcome is
+    an exit code from 0 to 4, with no traceback."""
+    path = tmp_path_factory.getbasetemp() / "fuzz.session"
+    path.write_text(text, encoding="utf-8")
+    head = {"run": ["run", str(path)], "corpus": ["corpus", "--filter", case]}
+    argv = [*head.get(command, [command]), *(a for flag in flags for a in flag)]
+    err = io.StringIO()
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        reset_limits()
+    assert code in {0, 1, 2, 3, 4}
+    assert "Traceback" not in err.getvalue()
 
 
 # -- corpus API ------------------------------------------------------------------------

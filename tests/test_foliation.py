@@ -267,7 +267,11 @@ def test_blowup_ledger_nondicritical():
     assert rep.sum_mu_other == 1
     assert rep.delta_drop == 1
     assert rep.mu_br_rel_origin == 6
-    assert rep.main_ok and rep.relative_ok and rep.conservation_ok
+    assert [(c.name, c.passed) for c in rep.checks()] == [
+        ("blowup_nondicritical", True),
+        ("blowup_relative", True),
+        ("milnor_conservation", True),
+    ]
 
 
 def test_blowup_ledger_dicritical():
@@ -284,7 +288,11 @@ def test_blowup_ledger_dicritical():
     assert rep.mu0_F == 33
     assert rep.delta_drop == 3
     assert rep.mu_br_rel_origin == 23
-    assert rep.main_ok and rep.relative_ok and rep.conservation_ok
+    assert [(c.name, c.passed) for c in rep.checks()] == [
+        ("blowup_dicritical", True),
+        ("blowup_relative", True),
+        ("milnor_conservation", True),
+    ]
     # Conservation through a dicritical blow-up counts the extra divisor term.
     assert rep.rhs_conservation == rep.mu0_F
 
@@ -298,7 +306,9 @@ def test_generalized_curve_positive():
     rep = generalized_curve_check(F, parse_poly("x*y", R2), X)
     assert rep.delta == 0
     assert rep.is_generalized_curve
-    assert rep.routes_agree
+    assert [(c.name, c.lhs, c.rhs, c.passed) for c in rep.checks()] == [
+        ("generalized_curve_delta", 0, 0, True)
+    ]
 
 
 def test_generalized_curve_negative_saddle_node():

@@ -12,6 +12,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import brindex.localalg as localalg
+from brindex.corpus import run_identity_sweep
 from brindex.errors import BrindexError, ComputationError, InvariantCurveError
 from brindex.invariants import (
     HypersurfaceGerm,
@@ -258,6 +259,20 @@ def test_a_wrong_intersection_number_is_caught(monkeypatch):
     assert failed == {
         "tang": {"tang_equals_gsv"},
         "pullback-order": {"pullback_order_identity"},
+    }
+
+
+def test_a_wrong_trivial_colength_fails_the_sweep_checks_that_read_it(monkeypatch):
+    cached = LocalPair.trivial
+    monkeypatch.setattr(LocalPair, "trivial", property(lambda pair: cached.__get__(pair) + 1))
+    record = run_identity_sweep(n=3)
+    assert {c.name: c.lhs for c in record.checks} == {
+        "gsv_decomposition": 0,
+        "trivial_evaluation": 0,
+        "relative_split": 3,
+        "tang_equals_gsv": 3,
+        "multiplicity_bound": 3,
+        "oracle_agreement": 0,
     }
 
 
