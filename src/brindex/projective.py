@@ -272,18 +272,10 @@ def _walk(
     # Region 2: the line at infinity minus [0:1:0], in the chart x = 1.
     fol = pf.chart_x()
     phi = fol.ring.one() if pc is None else pc.chart_x()
-    line_pts = set(
-        _line_candidates(
-            fol.A.restrict(1), fol.B.restrict(1), "singular"
-        )
-    )
+    line_pts = set(_line_candidates(fol.A.restrict(1), fol.B.restrict(1), "singular"))
     if pc is not None:
         vphi = fol.tangent_field_applied(phi)
-        line_pts.update(
-            _line_candidates(
-                phi.restrict(1), vphi.restrict(1), "tangency"
-            )
-        )
+        line_pts.update(_line_candidates(phi.restrict(1), vphi.restrict(1), "tangency"))
     for u0 in sorted(line_pts):
         out.append(
             _contribution_at(fol, phi, (u0, Fraction(0)), (Fraction(1), u0, Fraction(0)))
