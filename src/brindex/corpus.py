@@ -10,6 +10,7 @@ linear-algebra oracle.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from textwrap import dedent
@@ -291,6 +292,13 @@ _POOL_CURVES = (
 _SWEEP_SEED = 74207281
 
 
+@functools.cache
+def _pool_germs() -> tuple[HypersurfaceGerm, ...]:
+    # Frozen germs that cache nothing: reuse feeds no check another one's value.
+    R2 = ring("x", "y")
+    return tuple(HypersurfaceGerm(parse_poly(s, R2)) for s in _POOL_CURVES)
+
+
 def _random_poly(rng: random.Random, R, max_deg: int) -> MPoly:
     acc = {}
     for i in range(max_deg + 1):
@@ -306,7 +314,7 @@ def run_identity_sweep(n: int = 25, seed: int = _SWEEP_SEED) -> ResultRecord:
     finite colength cross-checked against the linear-algebra oracle."""
     rng = random.Random(seed)
     R2 = ring("x", "y")
-    germs = [HypersurfaceGerm(parse_poly(s, R2)) for s in _POOL_CURVES]
+    germs = _pool_germs()
     cap = get_limits().oracle_bound
 
     attempted = 0

@@ -15,15 +15,20 @@ leading exponents; one routine (`_staircase`) gives both its cell count and
 its deepest cell, from the minimal leading exponents.  Infinite colength is
 detected structurally: some variable has no pure power in the leading ideal.
 A second, independent route (`colength_oracle`) computes dim O_n/(I + m^b) by
-exact sparse Gaussian elimination on truncated multiples of the generators
-and is used throughout the tests to cross-check the standard-basis route.
+exact fraction-free elimination over Z on truncated multiples of the
+generators, lowest column first with the columns in ascending degree, and is
+used throughout the tests to cross-check the standard-basis route.  In that
+echelon form the rank on the columns of degree < b is the number of pivots of
+degree < b, so one elimination at the bound gives d(b) for every smaller b.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -358,70 +363,72 @@ def _monomials_below(ring_: Ring, bound: int) -> list[Exp]:
     return out
 
 
-def _sparse_rank(rows: list[dict]) -> int:
-    """Rank of a sparse rational matrix; exact Gaussian elimination."""
-    pivots: dict[int, dict] = {}
-    rank = 0
-    for row in rows:
-        row = dict(row)
-        while row:
-            lead = min(row)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                inv = 1 / row[lead]
-                pivots[lead] = {c: v * inv for c, v in row.items()}
-                rank += 1
-                break
-            factor = row.pop(lead)
-            for c, v in pivot.items():
-                if c == lead:
-                    continue
-                nv = row.get(c, _F0) - factor * v
-                if nv:
-                    row[c] = nv
-                else:
-                    row.pop(c, None)
-    return rank
+def _content_free(row: dict[int, int]) -> dict[int, int]:
+    # reduce, not gcd(*values): its argument tuples fill the tuple free lists.
+    g = functools.reduce(math.gcd, row.values(), 0)
+    return row if g == 1 else {c: v // g for c, v in row.items()}
 
 
-_F0 = Fraction(0)
+def _integer_terms(g: MPoly) -> list[tuple[Exp, int]]:
+    """The terms of g times the lcm of its denominators: the same ideal over Z."""
+    den = functools.reduce(math.lcm, (c.denominator for _, c in g.terms()), 1)
+    return [(e, c.numerator * (den // c.denominator)) for e, c in g.terms()]
 
 
-def _truncated_dim(ideal: LocalIdeal, bound: int) -> int:
-    """dim O_n / (I + m^bound), by elimination on truncated generator multiples."""
-    ring_ = ideal.ring
-    monomials = _monomials_below(ring_, bound)
+def _pivot_columns(ideal: LocalIdeal, monomials: list[Exp], bound: int) -> set[int]:
+    """Pivot columns of the echelon form of the truncated generator multiples.
+
+    Columns follow `monomials` (ascending degree); a row's pivot is its lowest
+    column, and rows are reduced over Z by cross-multiplication with the pivot
+    row's leading coefficient, then divided by their content.
+    """
     col = {e: i for i, e in enumerate(monomials)}
-    rows: list[dict] = []
+    pivots: dict[int, dict[int, int]] = {}
     for g in ideal.gens:
+        terms = _integer_terms(g)
         g_ord = g.order()
         for m in monomials:
             if sum(m) + g_ord >= bound:
-                continue
+                break
             row = {}
-            for e, c in g.terms():
-                prod = tuple(a + b for a, b in zip(e, m))
-                if sum(prod) < bound:
-                    row[col[prod]] = row.get(col[prod], _F0) + c
-            row = {c: v for c, v in row.items() if v != 0}
-            if row:
-                rows.append(row)
-    return len(monomials) - _sparse_rank(rows)
+            for e, c in terms:
+                prod = tuple(map(operator.add, e, m))
+                if prod in col:
+                    row[col[prod]] = c
+            while row:
+                lead = min(row)
+                pivot = pivots.get(lead)
+                if pivot is None:
+                    pivots[lead] = _content_free(row)
+                    break
+                k = math.gcd(row[lead], pivot[lead])
+                mr, mp = pivot[lead] // k, row[lead] // k
+                row = {c: v * mr for c, v in row.items()} if mr != 1 else row
+                for c, v in pivot.items():
+                    nv = row.get(c, 0) - v * mp
+                    if nv:
+                        row[c] = nv
+                    else:
+                        row.pop(c, None)
+                row = _content_free(row)
+    return set(pivots)
 
 
 def colength_oracle(ideal: LocalIdeal, bound: int) -> int | None:
     """Truncated-dimension route to the colength.
 
-    Returns the dimension when it is stable between bound-1 and bound (which
-    certifies it equals the colength), and None when the staircase does not
-    fit under the bound.  Shares no code with the standard-basis route.
+    d(b) = dim O_n/(I + m^b) is the number of monomials of degree < b that
+    are not pivots.  Returns d(bound) when it equals d(bound-1), i.e.
+    when every monomial of degree bound-1 is a pivot (which certifies it
+    equals the colength), and None when the staircase does not fit under the
+    bound.  Shares no code with the standard-basis route.
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
-    d_prev = _truncated_dim(ideal, bound - 1)
-    d_here = _truncated_dim(ideal, bound)
-    if d_prev == d_here:
-        return d_here
+    monomials = _monomials_below(ideal.ring, bound)
+    pivots = _pivot_columns(ideal, monomials, bound)
+    if all(i in pivots for i, e in enumerate(monomials) if sum(e) == bound - 1):
+        return len(monomials) - len(pivots)
     return None
 
 

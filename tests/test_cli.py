@@ -147,6 +147,14 @@ def test_flags_are_accepted(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_low_oracle_cap_exits_3(capsys):
+    # With the cap at 4 the oracle tries bound 4 only, which some ideal of the
+    # default sweep cannot certify.
+    assert main(["corpus", "--filter", "sweep", "--bound", "4"]) == 3
+    err = capsys.readouterr().err
+    assert "colength oracle did not stabilize below bound 4" in err
+
+
 @pytest.mark.parametrize("flag", ["--steps", "--bound"])
 @pytest.mark.parametrize("value", ["0", "-5"])
 def test_non_positive_limits_are_rejected(tmp_path, capsys, flag, value):

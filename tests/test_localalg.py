@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -14,6 +15,8 @@ from brindex.errors import ResourceLimitError
 from brindex.localalg import (
     INFINITY,
     LocalIdeal,
+    _monomials_below,
+    _pivot_columns,
     _staircase,
     colength,
     colength_from_leading,
@@ -189,6 +192,12 @@ def test_oracle_on_knowns():
     assert colength_oracle(_ideal(R2, "x^2", "y^3"), bound=10) == 6
     # Too small a window cannot certify stability.
     assert colength_oracle(_ideal(R2, "x^5", "y^5"), bound=3) is None
+    # Each generator's denominators are cleared as a whole: with numerators
+    # only, x/2 + y/3 and x/3 + y/2 would both become x + y and give 2.
+    x, y = R2.var("x"), R2.var("y")
+    third, half = R2.constant(Fraction(1, 3)), R2.constant(Fraction(1, 2))
+    I = LocalIdeal.make(R2, [half * x + third * y, third * x + half * y, x * x])
+    assert colength_oracle_auto(I) == 1
 
 
 @given(
@@ -217,6 +226,68 @@ def test_oracle_agrees_with_standard_basis(fpairs, gpairs):
     if value == INFINITY:
         return
     assert colength_oracle_auto(I) == value
+
+
+@st.composite
+def _ideals(draw, ring_):
+    """Two generators of order >= 2 and, half the time, u*f + v*g with units
+    u, v: its truncated multiples are exact combinations of theirs down to the
+    lowest degree, so the rank depends on every coefficient being right."""
+    coeffs = st.fractions(-3, 3, max_denominator=3).filter(bool)
+
+    def poly(min_degree: int) -> MPoly:
+        exps = st.tuples(*[st.integers(0, 3)] * ring_.n).filter(lambda e: sum(e) >= min_degree)
+        return MPoly(ring_, draw(st.dictionaries(exps, coeffs, min_size=1, max_size=4)))
+
+    f, g = poly(2), poly(2)
+    if draw(st.booleans()):
+        u, v = (poly(1) + ring_.constant(draw(coeffs)) for _ in range(2))
+        return LocalIdeal.make(ring_, [f, g, u * f + v * g])
+    return LocalIdeal.make(ring_, [f, g])
+
+
+def _sympy_dims(I: LocalIdeal, bound: int) -> list[int]:
+    """[d(1), ..., d(bound)], d(b) = dim O_n/(I + m^b), each from its own matrix:
+    the monomials of degree < b minus the rank over Q of the multiples x^m g
+    truncated below degree b."""
+    pytest.importorskip("sympy")
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    dims = []
+    for b in range(1, bound + 1):
+        cols = [e for e in itertools.product(range(b), repeat=I.ring.n) if sum(e) < b]
+        index = {e: i for i, e in enumerate(cols)}
+        rows = []
+        for g in I.gens:
+            for m in cols:
+                row = [QQ(0)] * len(cols)
+                for e, c in g.mono_mul(m, 1).terms():
+                    if e in index:
+                        row[index[e]] = QQ(c.numerator, c.denominator)
+                rows.append(row)
+        dims.append(len(cols) - DomainMatrix(rows, (len(rows), len(cols)), QQ).rank())
+    return dims
+
+
+@pytest.mark.parametrize("ring_, max_bound", [(R2, 6), (R3, 4)], ids=["n2", "n3"])
+@given(data=st.data())
+def test_oracle_dimensions_match_sympy(ring_, max_bound, data):
+    I = data.draw(_ideals(ring_))
+    bound = data.draw(st.integers(2, max_bound))
+    expected = _sympy_dims(I, bound)
+    # Every d(b), b <= bound, from the pivots of the one elimination at bound.
+    monomials = _monomials_below(I.ring, bound)
+    pivots = _pivot_columns(I, monomials, bound)
+    dims = [
+        sum(sum(e) < b for e in monomials) - sum(sum(monomials[i]) < b for i in pivots)
+        for b in range(1, bound + 1)
+    ]
+    assert dims == expected
+    # None exactly when the top degree is not full, that is when d(b-1) != d(b).
+    for b in range(2, bound + 1):
+        top_full = expected[b - 2] == expected[b - 1]
+        assert colength_oracle(I, b) == (expected[b - 1] if top_full else None)
 
 
 # -- minors -----------------------------------------------------------------------
