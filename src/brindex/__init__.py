@@ -45,7 +45,7 @@ from .foliation import (
     strict_transform_curve,
     verify_blowup_formula,
 )
-from .localalg import LocalIdeal, colength, colength_oracle, standard_basis
+from .localalg import LocalIdeal, colength, colength_oracle
 from .parsing import parse_form, parse_poly
 from .poly import MPoly, OneForm, Ring, ring
 from .projective import (

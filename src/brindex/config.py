@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class Limits:
-    # Local normal-form reduction steps allowed per standard-basis run.
+    # Local normal-form reduction steps allowed per colength call.
     max_reduction_steps: int = 200_000
     # Degree cap for the linear-algebra colength cross-check.
     oracle_bound: int = 64
@@ -20,7 +20,7 @@ class Limits:
 DEFAULT_LIMITS = Limits()
 
 # Module-wide current limits.  The CLI overrides these once at startup;
-# library callers can also pass explicit limits to the low-level entry points.
+# library callers use set_limits and reset_limits.
 _current = DEFAULT_LIMITS
 
 

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .invariants import Check, HypersurfaceGerm, LocalPair
 from .localalg import INFINITY, LocalIdeal, colength
-from .poly import MPoly, OneForm, Ring, exact_divide, ring
+from .poly import MPoly, OneForm, Ring, exact_divide, ring, wedge_coeffs
 
 CHART_XT = ring("x", "t")
 CHART_UY = ring("u", "y")
@@ -75,7 +75,7 @@ class PlaneFoliation:
 
     def tangent_field_applied(self, phi: MPoly) -> MPoly:
         """v(phi) for the tangent field v = -B d/dx + A d/dy."""
-        return -self.B * phi.partial(0) + self.A * phi.partial(1)
+        return wedge_coeffs(self.form, phi)[(0, 1)]
 
     def translate(self, point) -> "PlaneFoliation":
         # Translation is a ring automorphism, so A and B stay coprime.
@@ -472,7 +472,7 @@ def generalized_curve_check(
     """
     if f_sep.ring != F.ring:
         raise ValueError("separatrix equation must live in the foliation's ring")
-    sep_wedge = F.A * f_sep.partial(1) - F.B * f_sep.partial(0)
+    sep_wedge = F.tangent_field_applied(f_sep)
     if not sep_wedge.is_zero and exact_divide(sep_wedge, f_sep) is None:
         raise ComputationError("f_sep is not invariant by the foliation")
     HypersurfaceGerm(f_sep)  # validates reducedness for the plane case

@@ -4,7 +4,7 @@ Everything reduces to colengths of explicitly constructed ideals:
 
 * mu0(omega)        coefficient ideal of the form
 * mu0(X), tau0(X)   Jacobian ideal, Tjurina ideal of the hypersurface
-* GSV index         <phi> + 2x2 minors of the matrix (dphi; A)
+* GSV index         <phi> + the coefficients of omega ∧ dphi
 * Bruce-Roberts     GSV + mu0(omega) - tau0(X); equivalently the colength of
                     the evaluation of omega on the trivial tangent fields
                     (phi d_i and the Hamiltonian fields of phi) minus tau0
@@ -167,8 +167,7 @@ def is_invariant(omega: OneForm, X: HypersurfaceGerm) -> bool:
 
 
 def gsv_ideal(omega: OneForm, X: HypersurfaceGerm) -> LocalIdeal:
-    mm = minors([X.dphi, list(omega.coeffs)], 2)
-    return LocalIdeal.make(X.ring, [X.phi] + mm)
+    return LocalIdeal.make(X.ring, [X.phi, *wedge_coeffs(omega, X.phi).values()])
 
 
 def gsv_hyp(omega: OneForm, X: HypersurfaceGerm) -> int | float:
@@ -205,7 +204,7 @@ def trivial_evaluation_ideal(omega: OneForm, X: HypersurfaceGerm) -> LocalIdeal:
     """omega evaluated on the tangent fields that exist for every X:
     phi * d_i and the Hamiltonian fields phi_{x_j} d_k - phi_{x_k} d_j."""
     gens = [X.phi * a for a in omega.coeffs]
-    gens += minors([X.dphi, list(omega.coeffs)], 2)
+    gens += wedge_coeffs(omega, X.phi).values()
     return LocalIdeal.make(X.ring, gens)
 
 

@@ -1,19 +1,23 @@
-"""Standard bases in local rings and colength computations.
+"""Colengths in local rings: one standard-basis engine and an independent oracle.
 
-The normal form is Mora's tangent-cone reduction for the negative degree
-reverse lexicographic order: reductors are chosen with minimal ecart (ties go
-to the first listed) and the intermediate polynomial may itself join the
-reductor list, which is what makes the local division terminate.  Once the
-staircase of the partial basis is finite, terms deeper than its corner are
-discarded during reduction (they already lie in the ideal), which keeps
-intermediate polynomials small and makes reductions to zero cheap.  The pair
-loop applies the same highest-corner criterion (Mora; Greuel-Pfister, 1.7):
-a pair whose lcm lies past the corner is never formed.
+`colength` is the one entry to the standard-basis engine.  The normal form is
+Mora's tangent-cone reduction for the negative degree reverse lexicographic
+order: reductors are chosen with minimal ecart (ties go to the first listed)
+and the intermediate polynomial may itself join the reductor list, which is
+what makes the local division terminate.  Once the staircase of the partial
+basis is finite, terms deeper than its corner are discarded during reduction
+(they already lie in the ideal), which keeps intermediate polynomials small
+and makes reductions to zero cheap.  The pair loop applies the same
+highest-corner criterion (Mora; Greuel-Pfister, 1.7): a pair whose lcm lies
+past the corner is never formed.
 
 Colength (the vector-space dimension of O_n / I) is read off the staircase of
-leading exponents; one routine (`_staircase`) gives both its cell count and
-its deepest cell, from the minimal leading exponents.  Infinite colength is
-detected structurally: some variable has no pure power in the leading ideal.
+the completed basis's leading exponents, in every dimension; one routine
+(`_staircase`) gives both its cell count and its deepest cell.  The staircase
+of a set of exponents is that of its minimal elements, so the basis is never
+minimalized or made monic.  Infinite colength is detected structurally: some
+variable has no pure power in the leading ideal.
+
 A second, independent route (`colength_oracle`) computes dim O_n/(I + m^b) by
 exact fraction-free elimination over Z on truncated multiples of the
 generators, lowest column first with the columns in ascending degree, and is
@@ -30,7 +34,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .config import get_limits
@@ -92,8 +95,8 @@ class _Budget:
 # Working polynomials are plain dict[Exp, int] with content 1 and positive
 # leading coefficient.  Reduction steps are pseudo-reductions (cross-multiply
 # by leading coefficients, then strip the content), so no Fraction arithmetic
-# happens until the finished basis is made monic.  Reductors are carried as
-# (terms, leading exponent, ecart) records.
+# happens at all: the colength needs only the leading exponents.  Reductors
+# are carried as (terms, leading exponent, ecart) records.
 
 
 def _int_strip(d: dict) -> dict:
@@ -260,37 +263,11 @@ def _complete_records(ring_: Ring, basis: list, budget: _Budget) -> list:
     return basis
 
 
-def standard_basis(ideal: LocalIdeal, max_steps: int | None = None) -> tuple[MPoly, ...]:
-    """Minimal monic standard basis w.r.t. the local order; deterministic."""
-    if max_steps is None:
-        max_steps = get_limits().max_reduction_steps
-    budget = _Budget(max_steps)
-    basis = _complete_records(
-        ideal.ring, [_int_record(_int_from_poly(g)) for g in ideal.gens], budget
-    )
-
-    # Minimalize: keep only generators whose leading exponent is not divisible
-    # by another kept one.  Sorting by the order makes the scan greedy-safe.
-    basis.sort(key=lambda r: local_key(r[1]))
-    kept: list[MPoly] = []
-    kept_exps: list[Exp] = []
-    for terms, e, _ in basis:
-        if any(monomial_divides(d, e) for d in kept_exps):
-            continue
-        lead = terms[e]
-        kept.append(MPoly(ideal.ring, {m: Fraction(c, lead) for m, c in terms.items()}))
-        kept_exps.append(e)
-    return tuple(kept)
-
-
-def leading_exponents(basis: Sequence[MPoly]) -> list[Exp]:
-    return [g.leading_exp() for g in basis]
-
-
-def colength_from_leading(ring_: Ring, exps: Sequence[Exp]) -> int | float:
-    """Count monomials outside the staircase of ``exps``; inf when unbounded."""
-    stairs = _staircase(ring_.n, exps)
-    return INFINITY if stairs is None else stairs[0]
+def _staircase_of(ideal: LocalIdeal, extra: list, budget: _Budget) -> tuple | None:
+    """`_staircase` of a standard basis of I plus the ``extra`` records."""
+    records = [_int_record(_int_from_poly(g)) for g in ideal.gens] + extra
+    records = _complete_records(ideal.ring, records, budget)
+    return _staircase(ideal.ring.n, [r[1] for r in records])
 
 
 def _colength_bounded(ideal: LocalIdeal, bound: int, budget: _Budget) -> int | None:
@@ -301,33 +278,29 @@ def _colength_bounded(ideal: LocalIdeal, bound: int, budget: _Budget) -> int | N
     degree below d, so if no cell reaches degree bound - 1 the cut changed
     nothing and the count is the colength of I itself.
     """
-    basis = [_int_record(_int_from_poly(g)) for g in ideal.gens]
-    basis += [({(bound - k, k): 1}, (bound - k, k), 0) for k in range(bound + 1)]
-    basis = _complete_records(ideal.ring, basis, budget)
-    count, deepest = _staircase(ideal.ring.n, [r[1] for r in basis])
-    if sum(deepest) >= bound - 1:
-        return None
-    return count
+    power = [({(bound - k, k): 1}, (bound - k, k), 0) for k in range(bound + 1)]
+    count, deepest = _staircase_of(ideal, power, budget)
+    return None if sum(deepest) >= bound - 1 else count
 
 
 _BOUND_CAP = 256
 
 
-def colength(ideal: LocalIdeal, max_steps: int | None = None) -> int | float:
+def colength(ideal: LocalIdeal) -> int | float:
     """dim_Q O_n / I as a local ring quotient; inf for non-isolated ideals.
 
     In two variables the staircase is computed through certified truncations
     I + m^b with doubling b, which keeps every intermediate polynomial degree
     bounded.  An ideal of infinite colength never certifies; once the
     truncations at b = 8 and b = 16 have both failed, a common factor of the
-    generators through the origin (their gcd) decides infinitude exactly.
+    generators through the origin (their gcd) decides infinitude exactly.  In
+    three or more variables the staircase of a standard basis of I itself is
+    read.  One budget of `Limits.max_reduction_steps` covers the whole call.
     """
-    if max_steps is None:
-        max_steps = get_limits().max_reduction_steps
     if ideal.ring.n == 1:
         return int(min(g.order() for g in ideal.gens))
+    budget = _Budget(get_limits().max_reduction_steps)
     if ideal.ring.n == 2:
-        budget = _Budget(max_steps)
         bound = 8
         while bound <= _BOUND_CAP:
             value = _colength_bounded(ideal, bound, budget)
@@ -339,8 +312,8 @@ def colength(ideal: LocalIdeal, max_steps: int | None = None) -> int | float:
         raise ResourceLimitError(
             f"staircase does not close below degree {_BOUND_CAP}"
         )
-    basis = standard_basis(ideal, max_steps=max_steps)
-    return colength_from_leading(ideal.ring, leading_exponents(basis))
+    stairs = _staircase_of(ideal, [], budget)
+    return INFINITY if stairs is None else stairs[0]
 
 
 # -- independent truncated linear-algebra route ------------------------------

@@ -148,9 +148,6 @@ class MPoly:
     def terms(self) -> Iterator[tuple[Exp, Fraction]]:
         return iter(self._terms)
 
-    def num_terms(self) -> int:
-        return len(self._terms)
-
     def as_dict(self) -> dict:
         return dict(self._terms)
 
@@ -192,10 +189,6 @@ class MPoly:
         if not self._terms:
             raise ValueError("ecart of the zero polynomial is undefined")
         return self.total_degree() - self.order()
-
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e, _ in self._terms}
-        return len(degs) <= 1
 
     # -- arithmetic ---------------------------------------------------------
 

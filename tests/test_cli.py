@@ -285,17 +285,40 @@ FLAGS = GOOD_FLAGS * 4 + (
 CHEAP_CASES = ("p2-milnor-sum", "space-icis", "pullback-m2q5", "no-such-case")
 
 
-@given(
-    text=_session(),
-    command=st.sampled_from(("run", "run", "run", "corpus", "bogus")),
-    case=st.sampled_from(CHEAP_CASES),
-    flags=st.lists(st.sampled_from(FLAGS), max_size=2),
+# Valid sessions, in two and three variables, that need more than one
+# reduction step: under --steps 1 each must end in exit 3.
+STARVED = (
+    GOOD,
+    """ring x, y, z
+curve X = x^2 + y^3 + z^3
+form w = (x + y*z) dx + y dy + z dz
+compute gsv w X
+""",
 )
-def test_any_session_and_command_line_ends_in_an_exit_code(
-    tmp_path_factory, text, command, case, flags
-):
+
+
+@st.composite
+def _fuzzed_run(draw) -> tuple[str, str, list[list[str]], set[int]]:
+    """A small session, command and flags, with the exit codes allowed."""
+    return (
+        draw(_session()),
+        draw(st.sampled_from(("run", "run", "run", "corpus", "bogus"))),
+        draw(st.lists(st.sampled_from(FLAGS), max_size=2)),
+        {0, 1, 2, 3, 4},
+    )
+
+
+@st.composite
+def _starved_run(draw) -> tuple[str, str, list[list[str]], set[int]]:
+    """A valid session under a one-step budget: the route to exit 3."""
+    return draw(st.sampled_from(STARVED)), "run", [["--steps", "1"]], {3}
+
+
+@given(run=_fuzzed_run() | _starved_run(), case=st.sampled_from(CHEAP_CASES))
+def test_any_session_and_command_line_ends_in_an_exit_code(tmp_path_factory, run, case):
     """main runs in this process on a small session and argv: every outcome is
     an exit code from 0 to 4, with no traceback."""
+    text, command, flags, allowed = run
     path = tmp_path_factory.getbasetemp() / "fuzz.session"
     path.write_text(text, encoding="utf-8")
     head = {"run": ["run", str(path)], "corpus": ["corpus", "--filter", case]}
@@ -309,7 +332,7 @@ def test_any_session_and_command_line_ends_in_an_exit_code(
                 code = exc.code
     finally:
         reset_limits()
-    assert code in {0, 1, 2, 3, 4}
+    assert code in allowed
     assert "Traceback" not in err.getvalue()
 
 

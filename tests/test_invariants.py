@@ -31,9 +31,9 @@ from brindex.invariants import (
     tjurina,
     trivial_evaluation_ideal,
 )
-from brindex.localalg import INFINITY, colength, colength_oracle_auto
+from brindex.localalg import INFINITY, colength, colength_oracle_auto, minors
 from brindex.parsing import parse_form, parse_poly
-from brindex.poly import MPoly, OneForm, ring
+from brindex.poly import MPoly, OneForm, ring, wedge_coeffs
 
 R2 = ring("x", "y")
 R3 = ring("x", "y", "z")
@@ -297,6 +297,13 @@ def test_gsv_icis_smoke():
     omega = _form("x dx + y dy + z dz", R3)
     fs = [parse_poly("x", R3), parse_poly("y", R3)]
     assert gsv_icis(omega, fs) == 1
+    # gsv_hyp takes omega ∧ dphi from wedge_coeffs, gsv_icis the 2x2 minors
+    # of (dphi; A): the same polynomials up to sign, so the same index.
+    X = _germ("x^3 + y*z^2 + y^3 + x*y^4", R3)
+    omega = _form("z dx + x dy + y dz", R3)
+    wedge = list(wedge_coeffs(omega, X.phi).values())
+    assert wedge == [-m for m in minors([X.dphi, list(omega.coeffs)], 2)]
+    assert gsv_hyp(omega, X) == gsv_icis(omega, [X.phi])
 
 
 def test_icis_pair_milnor():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from brindex.config import reset_limits, set_limits
 from brindex.elim import coprime_at_origin
 from brindex.errors import ResourceLimitError
 from brindex.localalg import (
@@ -19,12 +20,9 @@ from brindex.localalg import (
     _pivot_columns,
     _staircase,
     colength,
-    colength_from_leading,
     colength_oracle,
     colength_oracle_auto,
-    leading_exponents,
     minors,
-    standard_basis,
 )
 from brindex.parsing import parse_poly
 from brindex.poly import MPoly, local_key, monomial_divides, ring
@@ -79,6 +77,13 @@ def test_three_variable_route():
     assert colength(_ideal(R3, "x", "y", "z")) == 1
     assert colength(_ideal(R3, "x^2", "y^2", "z^2")) == 8
     assert colength(_ideal(R3, "x", "y")) == INFINITY
+    # Non-monomial generators: the pair loop runs before the staircase of the
+    # leading exponents is read.  Two generators in three variables cut out at
+    # least a curve (Krull), so their colength is infinite.
+    I = _ideal(R3, "x^2 + y^3", "x*y + z^2", "y^2 - x*z")
+    assert colength(I) == colength_oracle_auto(I) == 8
+    assert colength(_ideal(R3, "x*y - z^2", "x^2 - y*z")) == INFINITY
+    assert colength(_ideal(R3, "x^2 + y^3 + z^5")) == INFINITY
 
 
 def test_large_staircase_forces_bound_doubling():
@@ -104,24 +109,9 @@ def test_common_factor_with_a_large_staircase_is_infinite():
 
 
 def test_completion_finds_the_hidden_power():
-    basis = standard_basis(_ideal(R2, "x*y", "y^2 - x^3"))
-    exps = leading_exponents(basis)
-    assert (4, 0) in exps
+    # x^4 = y*(x*y) - x*(y^2 - x^3) lies in the ideal; without it the leading
+    # exponents (1, 1) and (0, 2) leave the staircase unbounded.
     assert colength(_ideal(R2, "x*y", "y^2 - x^3")) == 5
-
-
-def test_standard_basis_is_monic_and_deterministic():
-    I = _ideal(R2, "y^2 - x^3 + x*y^2", "x*y - y^4")
-    b1 = standard_basis(I)
-    b2 = standard_basis(I)
-    assert b1 == b2
-    assert all(g.leading_coeff() == 1 for g in b1)
-
-
-def test_colength_from_leading():
-    assert colength_from_leading(R2, [(2, 0), (1, 1), (0, 4)]) == 5
-    assert colength_from_leading(R2, [(1, 1)]) == INFINITY
-    assert colength_from_leading(R2, [(0, 0)]) == 0
 
 
 def _box_staircase(n: int, exps: list) -> tuple | None:
@@ -155,6 +145,12 @@ def _exponent_sets(draw):
     return n, draw(st.permutations(exps))
 
 
+def test_colength_from_leading():
+    assert _staircase(2, [(2, 0), (1, 1), (0, 4)]) == (5, (0, 3))
+    assert _staircase(2, [(1, 1)]) is None  # no pure power: infinite colength
+    assert _staircase(2, [(0, 0)]) == (0, (0, 0))  # the unit ideal: no cells
+
+
 @given(_exponent_sets())
 def test_staircase_matches_a_box_scan(case):
     n, exps = case
@@ -162,14 +158,23 @@ def test_staircase_matches_a_box_scan(case):
 
 
 def test_budget_exhaustion_raises():
-    I = _ideal(
-        R2,
-        "y^3 - x^7",
-        "6*x*y^2 - 3*y^3 + 3*x^2*y^2 + 6*x*y^3 + 3*y^4 + 3*x^3*y^2"
-        " + 7*x^6 + 7*x^8 + 7*x^7*y + 14*x^9",
-    )
-    with pytest.raises(ResourceLimitError):
-        colength(I, max_steps=1)
+    ideals = [
+        _ideal(
+            R2,
+            "y^3 - x^7",
+            "6*x*y^2 - 3*y^3 + 3*x^2*y^2 + 6*x*y^3 + 3*y^4 + 3*x^3*y^2"
+            " + 7*x^6 + 7*x^8 + 7*x^7*y + 14*x^9",
+        ),
+        _ideal(R3, "x^2 + y^3", "x*y + z^2", "y^2 - x*z"),
+    ]
+    set_limits(max_reduction_steps=1)
+    try:
+        for I in ideals:
+            with pytest.raises(ResourceLimitError):
+                colength(I)
+    finally:
+        reset_limits()
+    assert all(colength(I) < INFINITY for I in ideals)
 
 
 def test_regression_previously_divergent_reduction():
