@@ -11,6 +11,17 @@ and makes reductions to zero cheap.  The pair loop applies the same
 highest-corner criterion (Mora; Greuel-Pfister, 1.7): a pair whose lcm lies
 past the corner is never formed.
 
+The reduction core works on packed exponents (Monagan-Pearce): variable i
+sits in the F-bit field at bit i*F (F = _FIELD_BITS = 32) and the total
+degree in the field above all of them, so integer order is the local order,
+a monomial product is one addition and a quotient one subtraction.  The top
+bit of every field is a guard bit, zero in every packed exponent; with G the
+mask of all guard bits, x^a divides x^b exactly when ((b | G) - a) & G == G,
+and the lcm takes each field from the operand whose guard survives
+(a | G) - b.  Exponents are packed once per `colength` call and unpacked only
+for `_staircase`.  A degree of 2^(F-1) or more does not fit: `colength` then
+raises ResourceLimitError rather than return a value.
+
 Colength (the vector-space dimension of O_n / I) is read off the staircase of
 the completed basis's leading exponents, in every dimension; one routine
 (`_staircase`) gives both its cell count and its deepest cell.  The staircase
@@ -39,16 +50,7 @@ from typing import Iterable, Sequence
 from .config import get_limits
 from .elim import coprime_at_origin
 from .errors import ResourceLimitError
-from .poly import (
-    Exp,
-    MPoly,
-    Ring,
-    exp_add,
-    exp_lcm,
-    exp_sub,
-    local_key,
-    monomial_divides,
-)
+from .poly import Exp, MPoly, Ring, local_key
 
 INFINITY = math.inf
 
@@ -91,12 +93,68 @@ class _Budget:
             )
 
 
+# -- packed exponents (layout in the module docstring) --------------------------
+# The degree check runs wherever a polynomial or record could reach 2^(F-1):
+# on packing, on each s-polynomial and on each reduction step.
+
+_FIELD_BITS = 32
+
+
+class _Packer:
+    """The packed layout for exponents of n variables, with F = _FIELD_BITS."""
+
+    __slots__ = ("n", "bits", "shift", "guards", "ones", "limit")
+
+    def __init__(self, n: int):
+        self.n, self.bits = n, _FIELD_BITS
+        self.shift = n * self.bits  # the degree field
+        units = sum(1 << (i * self.bits) for i in range(n + 1))
+        self.guards = units << (self.bits - 1)
+        self.ones = units - (1 << self.shift)  # 1 in every variable field
+        self.limit = 1 << (self.shift + self.bits - 1)  # degree 2^(F-1)
+
+    def check(self, packed: int) -> None:
+        if packed >= self.limit:
+            raise ResourceLimitError(
+                f"an exponent of degree {packed >> self.shift} does not fit "
+                f"the packed {self.bits}-bit fields"
+            )
+
+    def pack(self, e: Exp) -> int:
+        packed = sum(e) << self.shift
+        for i, k in enumerate(e):
+            packed |= k << (i * self.bits)
+        self.check(packed)
+        return packed
+
+    def unpack(self, packed: int) -> Exp:
+        low = (1 << (self.bits - 1)) - 1
+        return tuple(packed >> (i * self.bits) & low for i in range(self.n))
+
+    def lcm(self, a: int, b: int) -> int:
+        take_a = ((a | self.guards) - b) & self.guards  # guards where a_i >= b_i
+        take_a -= take_a >> (self.bits - 1)  # ... widened to the field below
+        fields = ((a & take_a) | (b & ~take_a)) & ((1 << self.shift) - 1)
+        degree = (fields * self.ones) >> (self.shift - self.bits)
+        return fields | (degree & ((1 << self.bits) - 1)) << self.shift
+
+
+_PACKERS: dict[int, _Packer] = {}
+
+
+def _packer(n: int) -> _Packer:
+    packer = _PACKERS.get(n)
+    if packer is None:
+        packer = _PACKERS[n] = _Packer(n)
+    return packer
+
+
 # -- integer reduction core ---------------------------------------------------
-# Working polynomials are plain dict[Exp, int] with content 1 and positive
-# leading coefficient.  Reduction steps are pseudo-reductions (cross-multiply
-# by leading coefficients, then strip the content), so no Fraction arithmetic
-# happens at all: the colength needs only the leading exponents.  Reductors
-# are carried as (terms, leading exponent, ecart) records.
+# Working polynomials are plain dict[packed exponent, int] with content 1 and
+# positive leading coefficient.  Reduction steps are pseudo-reductions
+# (cross-multiply by leading coefficients, then strip the content), so no
+# Fraction arithmetic happens at all: the colength needs only the leading
+# exponents.  Reductors are carried as (terms, leading exponent, ecart) records.
 
 
 def _int_strip(d: dict) -> dict:
@@ -105,32 +163,34 @@ def _int_strip(d: dict) -> dict:
     g = 0
     for c in d.values():
         g = math.gcd(g, c)
-    if d[min(d, key=local_key)] < 0:
+    if d[min(d)] < 0:
         g = -g
     if g != 1:
         return {e: c // g for e, c in d.items()}
     return d
 
 
-def _int_from_poly(f: MPoly) -> dict:
+def _int_from_poly(f: MPoly, packer: _Packer) -> dict:
     den = 1
     for _, c in f.terms():
         den = den * c.denominator // math.gcd(den, c.denominator)
-    return _int_strip({e: int(c * den) for e, c in f.terms()})
+    return _int_strip(
+        {packer.pack(e): c.numerator * (den // c.denominator) for e, c in f.terms()}
+    )
 
 
-def _int_record(d: dict) -> tuple:
-    lt = min(d, key=local_key)
-    return (d, lt, max(sum(e) for e in d) - sum(lt))
+def _int_record(d: dict, packer: _Packer) -> tuple:
+    lt = min(d)
+    return (d, lt, (max(d) >> packer.shift) - (lt >> packer.shift))
 
 
-def _int_combine(h: dict, ch: int, g: dict, cg: int, shift: Exp) -> dict:
+def _int_combine(h: dict, ch: int, g: dict, cg: int, shift: int) -> dict:
     """cg/k * h - ch/k * x^shift * g with k = gcd; leading terms must cancel."""
     k = math.gcd(ch, cg)
     mh, mg = cg // k, ch // k
     out = dict(h) if mh == 1 else {e: c * mh for e, c in h.items()}
     for e, c in g.items():
-        ne = exp_add(e, shift)
+        ne = e + shift
         v = out.get(ne, 0) - c * mg
         if v:
             out[ne] = v
@@ -139,12 +199,13 @@ def _int_combine(h: dict, ch: int, g: dict, cg: int, shift: Exp) -> dict:
     return out
 
 
-def _int_spoly(f_rec: tuple, g_rec: tuple) -> dict:
-    ft, fe, _ = f_rec
-    gt, ge, _ = g_rec
-    lcm = exp_lcm(fe, ge)
-    shifted = {exp_add(e, exp_sub(lcm, fe)): c for e, c in ft.items()}
-    return _int_combine(shifted, shifted[lcm], gt, gt[ge], exp_sub(lcm, ge))
+def _int_spoly(f_rec: tuple, g_rec: tuple, lcm: int, packer: _Packer) -> dict:
+    ft, fe, f_ecart = f_rec
+    gt, ge, g_ecart = g_rec
+    packer.check(lcm + (max(f_ecart, g_ecart) << packer.shift))
+    f_shift = lcm - fe
+    shifted = {e + f_shift: c for e, c in ft.items()}
+    return _int_combine(shifted, shifted[lcm], gt, gt[ge], lcm - ge)
 
 
 def _staircase(n: int, exps: Sequence[Exp]) -> tuple[int, Exp] | None:
@@ -186,100 +247,108 @@ def _staircase(n: int, exps: Sequence[Exp]) -> tuple[int, Exp] | None:
     return count, deepest
 
 
-def _int_cut(d: dict, corner: tuple | None) -> dict:
+def _int_cut(d: dict, corner: int | None) -> dict:
     """Discard the terms deeper than the staircase corner; they lie in the ideal."""
     if corner is None or not d:
         return d
-    kept = {e: c for e, c in d.items() if local_key(e) <= corner}
+    kept = {e: c for e, c in d.items() if e <= corner}
     return kept if len(kept) != len(d) else d
 
 
 def _mora_nf(
-    f: dict, reductors: Sequence[tuple], budget: _Budget, corner: tuple | None = None
+    f: dict,
+    reductors: Sequence[tuple],
+    budget: _Budget,
+    packer: _Packer,
+    corner: int | None = None,
 ) -> dict:
     """Mora weak normal form of f against the list of reductor records."""
+    guards, shift = packer.guards, packer.shift
     h = _int_strip(_int_cut(f, corner))
     allowed = list(reductors)
     while h:
-        he = min(h, key=local_key)
-        usable = [r for r in allowed if monomial_divides(r[1], he)]
+        he = min(h)
+        he_guarded = he | guards
+        usable = [r for r in allowed if (he_guarded - r[1]) & guards == guards]
         if not usable:
             return h
         g = min(usable, key=lambda r: r[2])
-        h_ecart = max(sum(e) for e in h) - sum(he)
+        h_ecart = (max(h) >> shift) - (he >> shift)
         if g[2] > h_ecart:
             allowed.append((h, he, h_ecart))
         budget.spend()
+        packer.check(he + (g[2] << shift))  # the top degree of x^shift * g
         h = _int_strip(
-            _int_cut(_int_combine(h, h[he], g[0], g[0][g[1]], exp_sub(he, g[1])), corner)
+            _int_cut(_int_combine(h, h[he], g[0], g[0][g[1]], he - g[1]), corner)
         )
     return h
 
 
-def _complete_records(ring_: Ring, basis: list, budget: _Budget) -> list:
-    """Buchberger pair loop over reductor records, Mora normal forms.
+def _staircase_of(packer: _Packer, records: list, budget: _Budget) -> tuple | None:
+    """`_staircase` of a standard basis of the ideal the records generate.
 
-    Pairs of single monomials are skipped: their s-polynomial is identically
-    zero.  Every monomial deeper than the deepest staircase cell (the
-    corner) lies in the leading ideal, so any polynomial supported past the
-    corner lies in the ideal (corner theorem for local degree orders).  Hence
-    a pair whose lcm lies past the corner is never formed, and since the heap
-    pops lcms in increasing key order while the corner, refreshed whenever the
-    basis grows, only moves shallower, the loop ends at the first lcm past it.
+    Buchberger pair loop over reductor records, Mora normal forms.  Pairs of
+    single monomials are skipped: their s-polynomial is identically zero.
+    Every monomial deeper than the deepest staircase cell (the corner) lies in
+    the leading ideal, so any polynomial supported past the corner lies in the
+    ideal (corner theorem for local degree orders).  Hence a pair whose lcm
+    lies past the corner is never formed, and since the heap pops lcms in
+    increasing order while the corner, refreshed whenever the basis grows,
+    only moves shallower, the loop ends at the first lcm past it.
     """
+    basis = list(records)
+    leads = [packer.unpack(r[1]) for r in basis]
     heap: list = []
     counter = itertools.count()
 
-    def corner_key() -> tuple | None:
-        stairs = _staircase(ring_.n, [r[1] for r in basis])
-        return None if stairs is None else local_key(stairs[1])
-
-    def past(key: tuple) -> bool:
-        return corner is not None and key > corner
+    def past(lcm: int) -> bool:
+        return corner is not None and lcm > corner
 
     def push_pairs(new_index: int):
         g = basis[new_index]
         for i in range(new_index):
             if len(g[0]) == 1 and len(basis[i][0]) == 1:
                 continue
-            key = local_key(exp_lcm(basis[i][1], g[1]))
-            if not past(key):
-                heapq.heappush(heap, (key, next(counter), i, new_index))
+            lcm = packer.lcm(basis[i][1], g[1])
+            if not past(lcm):
+                heapq.heappush(heap, (lcm, next(counter), i, new_index))
 
-    corner = corner_key()
+    stairs = _staircase(packer.n, leads)
+    corner = None if stairs is None else packer.pack(stairs[1])
     for j in range(1, len(basis)):
         push_pairs(j)
 
     while heap:
-        key, _, i, j = heapq.heappop(heap)
-        if past(key):
+        lcm, _, i, j = heapq.heappop(heap)
+        if past(lcm):
             break
         budget.spend()
-        h = _mora_nf(_int_spoly(basis[i], basis[j]), basis, budget, corner)
+        s = _int_spoly(basis[i], basis[j], lcm, packer)
+        h = _mora_nf(s, basis, budget, packer, corner)
         if h:
-            basis.append(_int_record(h))
+            basis.append(_int_record(h, packer))
+            leads.append(packer.unpack(basis[-1][1]))
             push_pairs(len(basis) - 1)
-            corner = corner_key()
-    return basis
+            stairs = _staircase(packer.n, leads)
+            corner = None if stairs is None else packer.pack(stairs[1])
+    return stairs
 
 
-def _staircase_of(ideal: LocalIdeal, extra: list, budget: _Budget) -> tuple | None:
-    """`_staircase` of a standard basis of I plus the ``extra`` records."""
-    records = [_int_record(_int_from_poly(g)) for g in ideal.gens] + extra
-    records = _complete_records(ideal.ring, records, budget)
-    return _staircase(ideal.ring.n, [r[1] for r in records])
-
-
-def _colength_bounded(ideal: LocalIdeal, bound: int, budget: _Budget) -> int | None:
+def _colength_bounded(
+    gens: list, packer: _Packer, bound: int, budget: _Budget
+) -> int | None:
     """Colength via a standard basis of I + m^bound, or None if uncertified.
 
-    Two variables.  The staircase of I + m^bound is the staircase of I cut at
-    degree < bound.  A staircase cell of degree d forces divisor cells at every
-    degree below d, so if no cell reaches degree bound - 1 the cut changed
-    nothing and the count is the colength of I itself.
+    Two variables; ``gens`` are the packed records of the generators of I.
+    The staircase of I + m^bound is the staircase of I cut at degree < bound.
+    A staircase cell of degree d forces divisor cells at every degree below
+    d, so if no cell reaches degree bound - 1 the cut changed nothing and the
+    count is the colength of I itself.
     """
-    power = [({(bound - k, k): 1}, (bound - k, k), 0) for k in range(bound + 1)]
-    count, deepest = _staircase_of(ideal, power, budget)
+    x_power = packer.pack((bound, 0))
+    y_over_x = packer.pack((0, 1)) - packer.pack((1, 0))
+    power = [({p: 1}, p, 0) for p in (x_power + k * y_over_x for k in range(bound + 1))]
+    count, deepest = _staircase_of(packer, gens + power, budget)
     return None if sum(deepest) >= bound - 1 else count
 
 
@@ -300,10 +369,12 @@ def colength(ideal: LocalIdeal) -> int | float:
     if ideal.ring.n == 1:
         return int(min(g.order() for g in ideal.gens))
     budget = _Budget(get_limits().max_reduction_steps)
+    packer = _packer(ideal.ring.n)
+    gens = [_int_record(_int_from_poly(g, packer), packer) for g in ideal.gens]
     if ideal.ring.n == 2:
         bound = 8
         while bound <= _BOUND_CAP:
-            value = _colength_bounded(ideal, bound, budget)
+            value = _colength_bounded(gens, packer, bound, budget)
             if value is not None:
                 return value
             if bound == 16 and not coprime_at_origin(*ideal.gens):
@@ -312,7 +383,7 @@ def colength(ideal: LocalIdeal) -> int | float:
         raise ResourceLimitError(
             f"staircase does not close below degree {_BOUND_CAP}"
         )
-    stairs = _staircase_of(ideal, [], budget)
+    stairs = _staircase_of(packer, gens, budget)
     return INFINITY if stairs is None else stairs[0]
 
 

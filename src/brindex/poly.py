@@ -45,10 +45,6 @@ def exp_add(a: Exp, b: Exp) -> Exp:
     return tuple(ai + bi for ai, bi in zip(a, b))
 
 
-def exp_lcm(a: Exp, b: Exp) -> Exp:
-    return tuple(max(ai, bi) for ai, bi in zip(a, b))
-
-
 @dataclass(frozen=True)
 class Ring:
     """A polynomial ring identified by its ordered variable names."""
@@ -368,11 +364,30 @@ class MPoly:
         return MPoly(ring(self.ring.names[keep]), acc)
 
     def translate(self, point: Sequence[Scalar]) -> "MPoly":
-        """Recenter: returns f(x + p), so the point p moves to the origin."""
-        images = [
-            self.ring.var(i) + self.ring.constant(c) for i, c in enumerate(point)
-        ]
-        return self.subs(self.ring, images)
+        """Recenter: returns f(x + p), so the point p moves to the origin.
+
+        Each term is expanded one variable at a time by the binomial theorem,
+        (x_i + p_i)^k = sum_j C(k, j) p_i^(k-j) x_i^j.
+        """
+        if len(point) != self.ring.n:
+            raise ValueError("need one coordinate per variable")
+        shifts = [Fraction(c) for c in point]
+        acc: dict = {}
+        for e, c in self._terms:
+            expansion = {(): c}
+            for k, p in zip(e, shifts):
+                if not (k and p):
+                    expansion = {m + (k,): v for m, v in expansion.items()}
+                    continue
+                weights = [math.comb(k, j) * p ** (k - j) for j in range(k + 1)]
+                expansion = {
+                    m + (j,): v * w
+                    for m, v in expansion.items()
+                    for j, w in enumerate(weights)
+                }
+            for m, v in expansion.items():
+                acc[m] = acc.get(m, 0) + v
+        return MPoly(self.ring, acc)
 
     def homogenize(self, target: Ring, extra: int | str, degree: int | None = None) -> "MPoly":
         """Homogenize with the variable ``extra`` of ``target``.

@@ -267,10 +267,12 @@ def _within(seconds: float, fn, *args):
 def test_seeded_surface_colengths_agree_with_the_oracle():
     # Tjurina, GSV and trivial-evaluation ideals of one seeded random form per
     # germ.  In three variables the standard-basis route has no truncation and
-    # its integer coefficients can grow without bound (its step budget does
-    # not bound the time), so it gets a wall-time budget.  Every ideal it
-    # finishes must agree with the oracle; the others are reported as an
-    # expected failure after the comparisons.
+    # the number of reduction steps it spends can run away; the cost is the
+    # steps, not coefficient growth (the same pair loop mod p took the same
+    # steps and time).  The default step budget allows far more than a
+    # fraction of a second of them, so the route gets a wall-time budget.
+    # Every ideal it finishes must agree with the oracle; the others are
+    # reported as an expected failure after the comparisons.
     rng = random.Random(1)
     runaway = []
     for phi in _SMALL_SURFACES:

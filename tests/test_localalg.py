@@ -10,13 +10,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from brindex import localalg
 from brindex.config import reset_limits, set_limits
 from brindex.elim import coprime_at_origin
 from brindex.errors import ResourceLimitError
+from brindex.invariants import HypersurfaceGerm, trivial_evaluation_ideal
 from brindex.localalg import (
     INFINITY,
     LocalIdeal,
     _monomials_below,
+    _packer,
     _pivot_columns,
     _staircase,
     colength,
@@ -24,8 +27,8 @@ from brindex.localalg import (
     colength_oracle_auto,
     minors,
 )
-from brindex.parsing import parse_poly
-from brindex.poly import MPoly, local_key, monomial_divides, ring
+from brindex.parsing import parse_form, parse_poly
+from brindex.poly import MPoly, exp_add, exp_sub, local_key, monomial_divides, ring
 
 R1 = ring("t")
 R2 = ring("x", "y")
@@ -177,6 +180,36 @@ def test_budget_exhaustion_raises():
     assert all(colength(I) < INFINITY for I in ideals)
 
 
+# Reduction steps the pair loop spends on fixed ideals.  The exponent
+# representation decides no pair, reductor or tie-break, so no change to it may
+# move these counts.
+_STEP_PINS = [
+    (
+        lambda: trivial_evaluation_ideal(
+            parse_form("(y + x^3) dx + (x + y^4 + x*y^2) dy", R2),
+            HypersurfaceGerm(parse_poly("y^7 - x^10", R2)),
+        ),
+        71,
+        43,
+    ),
+    (lambda: _ideal(R2, "x*y", "y^2 - x^3"), 5, 1),  # the hidden power
+    (lambda: _ideal(R3, "x^2 + y^3", "x*y + z^2", "y^2 - x*z"), 8, 9),
+]
+
+
+@pytest.mark.parametrize("make, value, steps", _STEP_PINS, ids=["y7-x10", "hidden", "n3"])
+def test_reduction_steps_are_pinned(make, value, steps):
+    I = make()
+    try:
+        set_limits(max_reduction_steps=steps)
+        assert colength(I) == value
+        set_limits(max_reduction_steps=steps - 1)
+        with pytest.raises(ResourceLimitError):
+            colength(I)
+    finally:
+        reset_limits()
+
+
 def test_regression_previously_divergent_reduction():
     # This pair once made the reduction loop swell instead of terminate.
     I = _ideal(
@@ -186,6 +219,47 @@ def test_regression_previously_divergent_reduction():
         " + 7*x^6 + 7*x^8 + 7*x^7*y + 14*x^9",
     )
     assert colength(I) == 17
+
+
+# -- packed exponents -------------------------------------------------------------
+
+# Up to four variables of degree < 2^28 each: every sum of two packs in 32 bits.
+_packed_pairs = st.integers(2, 4).flatmap(
+    lambda n: st.tuples(
+        *[st.tuples(*[st.one_of(st.integers(0, 4), st.integers(0, 2**28 - 1))] * n)] * 2
+    )
+)
+
+
+@given(_packed_pairs)
+def test_packed_exponents_agree_with_tuples(pair):
+    a, b = pair
+    P = _packer(len(a))
+    pa, pb = P.pack(a), P.pack(b)
+    assert P.unpack(pa) == a and P.unpack(pb) == b
+    assert (pa < pb) == (local_key(a) < local_key(b))
+    assert pa + pb == P.pack(exp_add(a, b))
+    divides = ((pb | P.guards) - pa) & P.guards == P.guards
+    assert divides == monomial_divides(a, b)
+    if divides:
+        assert pb - pa == P.pack(exp_sub(b, a))
+    assert P.lcm(pa, pb) == P.pack(tuple(map(max, a, b)))
+
+
+@pytest.mark.parametrize(
+    "field_bits, gens",
+    [
+        (4, (R2, "x*y", "y^2 - x^3")),  # the m^8 records of the first bound
+        (3, (R3, "x^2 + y^3", "x*y + z^2", "y^2 - x*z")),  # an s-polynomial
+        (5, (R3, "z + y^7", "x^2*y^3*z^2 + x^3*y^2*z^3")),  # a reduction step
+    ],
+    ids=["packing", "s-polynomial", "reduction"],
+)
+def test_packed_degree_overflow_raises(monkeypatch, field_bits, gens):
+    monkeypatch.setattr(localalg, "_FIELD_BITS", field_bits)
+    monkeypatch.setattr(localalg, "_PACKERS", {})
+    with pytest.raises(ResourceLimitError, match="does not fit"):
+        colength(_ideal(*gens))
 
 
 # -- the oracle -------------------------------------------------------------------

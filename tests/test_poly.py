@@ -16,7 +16,6 @@ from brindex.poly import (
     OneForm,
     exact_divide,
     exp_add,
-    exp_lcm,
     exp_sub,
     local_key,
     monomial_divides,
@@ -131,7 +130,6 @@ def test_local_order_ranks_by_degree_then_reversed():
 def test_exp_helpers():
     assert exp_add((1, 2), (3, 0)) == (4, 2)
     assert exp_sub((4, 2), (3, 0)) == (1, 2)
-    assert exp_lcm((1, 2), (3, 0)) == (3, 2)
     assert monomial_divides((1, 0), (2, 3))
     assert not monomial_divides((1, 4), (2, 3))
 
@@ -199,6 +197,15 @@ def test_translate_moves_the_evaluation_point(f, p):
     assert f.translate(p).eval_at((0, 0)) == f.eval_at(p)
     back = [-c for c in p]
     assert f.translate(p).translate(back) == f
+
+
+@given(
+    _poly_strategy(R3),
+    st.tuples(*[st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))] * 3),
+)
+def test_translate_is_the_substitution_x_plus_p(f, p):
+    images = [R3.var(i) + R3.constant(c) for i, c in enumerate(p)]
+    assert f.translate(p) == f.subs(R3, images)
 
 
 @given(polys2, polys2, polys2, points2)
