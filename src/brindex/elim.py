@@ -21,8 +21,17 @@ Three conventions show in the output:
   coefficients from the leading one), primitive with a positive leading
   coefficient, written like ``2*x**3 - 3*x**2 - 18*x - 25``.
 
+Before the primitive PRS, ``poly_gcd`` tries to certify a coprime pair by
+modular images: for each variable x_i that occurs in both f and g it maps
+them into F_p[x_i], with p = 2^31 - 1 and the other variables at fixed small
+integers.  When f keeps its x_i-degree there and the image gcd is a constant
+for every such x_i, the gcd over Q is 1 (a one-sided use of Brown's modular
+method).  Otherwise the PRS decides, so the test never changes an answer.
+
 References: Geddes, Czapor and Labahn, *Algorithms for Computer Algebra*,
-ch. 7 (primitive PRS gcd) and 9 (resultants); von zur Gathen and Gerhard,
+ch. 7 (primitive PRS gcd) and 9 (resultants); Brown, "On Euclid's algorithm
+and the computation of polynomial greatest common divisors" (J. ACM 18,
+1971) (modular gcd images); von zur Gathen and Gerhard,
 *Modern Computer Algebra*, ch. 14 and 15 (Berlekamp, Hensel lifting and
 factor recombination); Loos, "Computing rational zeros of integral
 polynomials by p-adic expansion" (SIAM J. Comput. 1983).
@@ -207,11 +216,17 @@ def _derivative(a: list) -> list:
 # -- conversion from and to MPoly ---------------------------------------------
 
 
+def _integer_terms(f: MPoly) -> tuple[list, int]:
+    """The (exponent, int) terms of den * f, and den > 0, the lcm of the
+    denominators."""
+    den = lcm(*(c.denominator for _, c in f.terms()))
+    return [(e, c.numerator * (den // c.denominator)) for e, c in f.terms()], den
+
+
 def _to_dense(f: MPoly, order: list[int]):
     """Integer recursive dense form of den * f with main variable order[0];
     returns (form, den) with den > 0 the lcm of the denominators."""
-    den = lcm(*(c.denominator for _, c in f.terms()))
-    items = [(e, c.numerator * (den // c.denominator)) for e, c in f.terms()]
+    items, den = _integer_terms(f)
     return _build(items, order), den
 
 
@@ -253,9 +268,51 @@ def _from_dense(a, order: list[int], ring_, den: int = 1) -> MPoly:
 
 # -- gcd and saturation ---------------------------------------------------------
 
+# The coprimality certificate maps into F_p[x_i] with x_j = _CERT_POINTS[j] for
+# every j != i.
+_CERT_PRIME = 2**31 - 1
+_CERT_POINTS = (13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _image(items: list, i: int, degree: int) -> list:
+    """The integer terms as a polynomial in x_i mod _CERT_PRIME, the other
+    variables at their certificate points."""
+    out = [0] * (degree + 1)
+    for e, c in items:
+        for j, k in enumerate(e):
+            if k and j != i:
+                c *= _CERT_POINTS[j] ** k
+        out[e[i]] += c
+    return _strip([c % _CERT_PRIME for c in out])
+
+
+def _coprime_images(f: list, g: list, n: int) -> bool:
+    """True when modular images prove that the integer terms f and g have a
+    constant gcd; False proves nothing.
+
+    A nonconstant gcd h involves some variable x_i that occurs in both.  If
+    the image of f in F_p[x_i] keeps its x_i-degree, so does the image of h,
+    which then divides both images; so an image gcd of degree 0 rules out
+    every such x_i.
+    """
+    if n > len(_CERT_POINTS):
+        return False
+    for i in range(n):
+        df = max(e[i] for e, _ in f)
+        dg = max(e[i] for e, _ in g)
+        if df and dg:
+            a = _image(f, i, df)
+            if len(a) <= df or len(_pgcd(a, _image(g, i, dg), _CERT_PRIME)) != 1:
+                return False
+    return True
+
 
 def poly_gcd(f: MPoly, g: MPoly) -> MPoly:
-    """gcd over Q, canonicalized so the local leading coefficient is 1."""
+    """gcd over Q, canonicalized so the local leading coefficient is 1.
+
+    A coprime pair is usually settled by ``_coprime_images``; the primitive
+    PRS runs only when that certificate fails.
+    """
     if f.ring != g.ring:
         raise ValueError("mixed rings in gcd")
     if f.is_zero and g.is_zero:
@@ -263,9 +320,13 @@ def poly_gcd(f: MPoly, g: MPoly) -> MPoly:
     if f.is_zero or g.is_zero:
         d = g if f.is_zero else f
     else:
-        order = list(range(f.ring.n))
-        d = _gcd(_to_dense(f, order)[0], _to_dense(g, order)[0], f.ring.n)
-        if _constant(d, f.ring.n) is not None:
+        n = f.ring.n
+        (a, _), (b, _) = _integer_terms(f), _integer_terms(g)
+        if _coprime_images(a, b, n):
+            return f.ring.one()
+        order = list(range(n))
+        d = _gcd(_build(a, order), _build(b, order), n)
+        if _constant(d, n) is not None:
             return f.ring.one()
         d = _from_dense(d, order, f.ring)
     return d.mono_mul((0,) * d.ring.n, 1 / d.leading_coeff())
@@ -308,7 +369,12 @@ def coprime_at_origin(*fs: MPoly) -> bool:
 
 
 def is_squarefree(phi: MPoly) -> bool:
-    """Conservative reducedness test: phi shares no factor with its partials."""
+    """Reducedness test: phi shares no factor with its partials.
+
+    Over Q the test is exact.  If phi = p q with p irreducible and p divides
+    every partial, then p divides (d_i p) q for each i; some d_i p is nonzero
+    and of lower degree in x_i than p, so p divides q and p^2 divides phi.
+    """
     if phi.is_zero:
         return False
     d = phi
@@ -412,9 +478,10 @@ def _monic(a: list, m: int) -> list:
 
 def _pgcd(a: list, b: list, p: int) -> list:
     """The monic gcd mod the prime p; [] when both vanish mod p."""
-    if not any(c % p for c in a) and not any(c % p for c in b):
-        return []
-    return _pgcdex(a, b, p)[0]
+    a, b = _strip([c % p for c in a]), _strip([c % p for c in b])
+    while b:
+        a, b = b, _pdivmod(a, b, p)[1]
+    return _monic(a, p) if a else []
 
 
 def _pgcdex(a: list, b: list, p: int) -> tuple[list, list, list]:

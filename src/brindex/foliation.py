@@ -41,6 +41,10 @@ class PlaneFoliation:
     A: MPoly
     B: MPoly
     # True when A and B are known to be coprime, so saturation is skipped.
+    # Callers that pass it, each with its proof at the call: ``translate`` (a
+    # ring automorphism), ``ProjectiveFoliation.chart_z/chart_x/chart_y``
+    # (the Euler relation) and the strict transforms of ``blowup`` (an
+    # isomorphism off the divisor, whose coordinate is divided out).
     saturated: InitVar[bool] = False
 
     def __post_init__(self, saturated: bool):
@@ -175,6 +179,15 @@ class BlowupResult:
 
 
 def blowup(F: PlaneFoliation) -> BlowupResult:
+    """The strict transform of F in both charts, saturated by construction.
+
+    A and B are coprime.  Once x is inverted, (x, t) -> (x, t x) is an
+    isomorphism (t = y / x), and the pulled-back coefficients (A + t B, x B)
+    are (A, B) times a matrix of determinant x, so they stay coprime there:
+    any common factor in Q[x, t] is a power of x.  Dividing by the maximal
+    power x^k that divides both leaves none.  The same holds in the chart
+    (u, y) -> (u y, y) with y inverted.
+    """
     x1, t1 = CHART_XT.var(0), CHART_XT.var(1)
     A1 = F.A.subs(CHART_XT, [x1, t1 * x1])
     B1 = F.B.subs(CHART_XT, [x1, t1 * x1])
@@ -199,10 +212,16 @@ def blowup(F: PlaneFoliation) -> BlowupResult:
             f"exceptional multiplicity {k1} out of range for nu = {nu}"
         )
     strict_xt = PlaneFoliation(
-        CHART_XT, _strip_var_power(dx_coeff, 0, k1), _strip_var_power(dt_coeff, 0, k1)
+        CHART_XT,
+        _strip_var_power(dx_coeff, 0, k1),
+        _strip_var_power(dt_coeff, 0, k1),
+        saturated=True,
     )
     strict_uy = PlaneFoliation(
-        CHART_UY, _strip_var_power(du_coeff, 1, k1), _strip_var_power(dy_coeff, 1, k1)
+        CHART_UY,
+        _strip_var_power(du_coeff, 1, k1),
+        _strip_var_power(dy_coeff, 1, k1),
+        saturated=True,
     )
     dicritical = k1 == nu + 1
     # Cross-check: the divisor is invariant exactly in the non-dicritical case.

@@ -2,8 +2,9 @@
 
 A polynomial 1-form A dx + B dy extends to a homogeneous form
 P dx + Q dy + R dz with x P + y Q + z R = 0, built by homogenizing the
-coefficients and saturating the resulting triple.  After saturation the
-coefficients have degree d + 1 where d is the degree of the foliation.
+coefficients and dividing out the common factor z of the resulting triple
+when there is one.  The coefficients then have degree d + 1 where d is the
+degree of the foliation.
 
 The global check sums mu_p + tang_p - tau_p over all singular points of the
 foliation together with the tangency points against an invariant-free curve
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .elim import is_squarefree, poly_gcd, rational_common_zeros, rational_roots, saturate
+from .elim import is_squarefree, poly_gcd, rational_common_zeros, rational_roots
 from .errors import (
     ComputationError,
     InvariantCurveError,
@@ -26,7 +27,7 @@ from .errors import (
 from .foliation import PlaneFoliation
 from .invariants import Check, HypersurfaceGerm, LocalPair
 from .localalg import INFINITY
-from .poly import MPoly, OneForm, ring
+from .poly import MPoly, OneForm, exact_divide, ring
 
 PROJ_RING = ring("x", "y", "z")
 CHART_X = ring("u", "v")  # (u, v) = (y/x, z/x), divisor at infinity is v = 0
@@ -35,7 +36,14 @@ CHART_Y = ring("s", "w")  # (s, w) = (x/y, z/y)
 
 @dataclass(frozen=True)
 class ProjectiveFoliation:
-    """Saturated homogeneous 1-form P dx + Q dy + R dz with Euler relation."""
+    """Saturated homogeneous 1-form P dx + Q dy + R dz with Euler relation.
+
+    The charts are saturated by construction (Brunella, *Birational Geometry
+    of Foliations*, ch. 2).  From xP + yQ + zR = 0, a common factor of two
+    coefficients divides the third variable times the third coefficient; it
+    is prime to that coefficient, since gcd(P, Q, R) = 1, so it is a power of
+    that variable, which dehomogenizing at it sends to 1.
+    """
 
     P: MPoly
     Q: MPoly
@@ -44,16 +52,27 @@ class ProjectiveFoliation:
 
     @classmethod
     def from_affine(cls, omega: OneForm) -> "ProjectiveFoliation":
+        """Homogenize the saturated A dx + B dy to degree m = max(deg A,
+        deg B) as Ahat, Bhat, and divide the gcd out of the triple
+        (z Ahat, z Bhat, R) with R = -(x Ahat + y Bhat).
+
+        A and B are coprime, so their homogenizations are; Ahat and Bhat are
+        these times powers of z, and the one of degree m has none, so
+        gcd(z Ahat, z Bhat) = z.  The gcd of the triple is thus z when z
+        divides R, that is when x A_m + y B_m = 0 for the degree-m parts
+        A_m, B_m, and 1 otherwise.
+        """
         fol = PlaneFoliation.from_form(omega)
         A, B = fol.A, fol.B
         m = max(A.total_degree(), B.total_degree())
         Ahat = A.homogenize(PROJ_RING, 2, m)
         Bhat = B.homogenize(PROJ_RING, 2, m)
         x, y, z = (PROJ_RING.var(i) for i in range(3))
-        P = z * Ahat
-        Q = z * Bhat
         R = -(x * Ahat + y * Bhat)
-        (P, Q, R), _ = saturate(P, Q, R)
+        if all(e[2] for e, _ in R.terms()):  # z divides R
+            P, Q, R = Ahat, Bhat, exact_divide(R, z)
+        else:
+            P, Q = z * Ahat, z * Bhat
         euler = x * P + y * Q + z * R
         if not euler.is_zero:
             raise ComputationError("Euler relation failed after homogenization")
@@ -67,6 +86,7 @@ class ProjectiveFoliation:
             R2,
             self.P.dehomogenize(R2, 2, [0, 1]),
             self.Q.dehomogenize(R2, 2, [0, 1]),
+            saturated=True,
         )
 
     def chart_x(self) -> PlaneFoliation:
@@ -75,6 +95,7 @@ class ProjectiveFoliation:
             CHART_X,
             self.Q.dehomogenize(CHART_X, 0, [1, 2]),
             self.R.dehomogenize(CHART_X, 0, [1, 2]),
+            saturated=True,
         )
 
     def chart_y(self) -> PlaneFoliation:
@@ -83,6 +104,7 @@ class ProjectiveFoliation:
             CHART_Y,
             self.P.dehomogenize(CHART_Y, 1, [0, 2]),
             self.R.dehomogenize(CHART_Y, 1, [0, 2]),
+            saturated=True,
         )
 
 

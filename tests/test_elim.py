@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from brindex import elim
 from brindex.elim import poly_gcd, rational_roots, resultant
 from brindex.errors import IrrationalPointError
 from brindex.poly import MPoly, ring
@@ -54,6 +55,12 @@ def _sympy_rational_roots(p: MPoly):
             a, b = (Fraction(int(c.p), int(c.q)) for c in fac.all_coeffs())
             out.append((-b / a, int(mult)))
     return sorted(out)
+
+
+def _sympy_gcd(f: MPoly, g: MPoly) -> MPoly:
+    """The gcd by sympy, scaled like poly_gcd (local leading coefficient 1)."""
+    d = _from_sympy(_to_sympy(f).gcd(_to_sympy(g)), f.ring)
+    return d.mono_mul((0,) * f.ring.n, 1 / d.leading_coeff())
 
 
 def _outcome(p: MPoly):
@@ -128,6 +135,66 @@ def test_gcd_is_normalized_at_the_local_leading_term():
     assert poly_gcd(R2.parse("x - y"), R2.parse("x + y")) == R2.one()
 
 
+# -- the coprimality certificate of poly_gcd ------------------------------------------
+
+P31 = elim._CERT_PRIME
+X0, Y0 = elim._CERT_POINTS[:2]  # the values of x and y in the images
+H = f"(x - {X0})*(y - {Y0}) + 1"
+
+
+@pytest.mark.parametrize(
+    "n, f, g",
+    [
+        (1, "x^2 + 1", "x - 3"),
+        (2, "x^2 - y^3", "x*y + 1"),
+        (2, "1/2*x^2 + 1/3*y", "3/4*x - 5/7*y^2"),
+        (3, "x + y*z", "x*y - z^2 + 1"),
+        (2, "x + 1", "y - 2"),  # no variable occurs in both
+    ],
+)
+def test_gcd_of_certified_coprime_pairs_skips_the_prs(monkeypatch, n, f, g):
+    def prs(*args):
+        raise AssertionError("the PRS ran on a certified coprime pair")
+
+    monkeypatch.setattr(elim, "_gcd", prs)
+    assert poly_gcd(RINGS[n].parse(f), RINGS[n].parse(g)) == RINGS[n].one()
+
+
+@pytest.mark.parametrize(
+    "n, f, g, falls_back",
+    [
+        # The x-leading coefficient of f vanishes at y = Y0, so its image in
+        # F_p[x] loses its x-degree.
+        (2, f"(y - {Y0})*x^2 + x + y", "x^2 - y", True),
+        (2, f"((y - {Y0})*x + 1)*(x + y)", "(x + y)*(x - 2)", True),
+        # The common factor H = (x - X0)(y - Y0) + 1 has constant images in
+        # F_p[x] and F_p[y]; only the degree requirement keeps the answer 1
+        # from being certified.
+        (2, f"({H})*(x + y)", f"({H})*(x - y)", True),
+        # Coefficients that are multiples of p.
+        (1, f"{P31}*x^3 + x + 1", "x^2 + 1", True),
+        (2, f"{P31}*x^2*y + x + 1", "x - y", True),
+        (2, f"{P31}*(x^2 - y)", "(x^2 - y)*(x + y)", True),
+        # A common factor free of x: the images in F_p[x] are coprime, those
+        # in F_p[y] are not.
+        (2, "(y + 1)*(x^2 + y)", "(y + 1)*(x - y^2)", True),
+        # Rational coefficients.
+        (2, "(1/2*x + 1/3*y)*(x - 1/5)", "(1/2*x + 1/3*y)*(y + 7/4)", True),
+        (2, "1/2*x^2 - 1/3*y", "5/7*x*y + 1/4", False),
+        # One variable.
+        (1, "(x - 1)*(2*x + 3)", "(x - 1)^2", True),
+        (1, "x^3 - 2", "3*x^2 + 1", False),
+    ],
+)
+def test_gcd_certificate_edge_cases(monkeypatch, n, f, g, falls_back):
+    f, g = RINGS[n].parse(f), RINGS[n].parse(g)
+    calls = []
+    prs = elim._gcd
+    monkeypatch.setattr(elim, "_gcd", lambda a, b, k: calls.append(k) or prs(a, b, k))
+    assert poly_gcd(f, g) == _sympy_gcd(f, g)
+    assert bool(calls) == falls_back
+
+
 # -- sympy as an oracle -----------------------------------------------------------------
 
 
@@ -136,9 +203,7 @@ def test_gcd_is_normalized_at_the_local_leading_term():
 def test_gcd_matches_sympy(n, degree, data):
     a, b, c = (data.draw(polys(n, degree)) for _ in range(3))
     f, g = a * c, b * c
-    expected = _from_sympy(_to_sympy(f).gcd(_to_sympy(g)), f.ring)
-    expected = expected.mono_mul((0,) * n, 1 / expected.leading_coeff())
-    assert poly_gcd(f, g) == expected
+    assert poly_gcd(f, g) == _sympy_gcd(f, g)
 
 
 @pytest.mark.parametrize("n, degree", [(2, 3), (3, 2)])

@@ -29,6 +29,7 @@ from brindex.invariants import HypersurfaceGerm, LocalPair, intersection_mult
 from brindex.localalg import INFINITY
 from brindex.parsing import parse_form, parse_poly
 from brindex.poly import OneForm, ring
+from tests_util import SaturateSpy, affine_forms, with_form_examples
 
 R2 = ring("x", "y")
 
@@ -210,6 +211,16 @@ def test_blowup_charts_nondicritical():
     assert sum(mu for _, mu in sing) == 2  # two reduced singular points
 
 
+@given(form=affine_forms())
+@with_form_examples
+def test_strict_transforms_are_saturated_by_construction(form):
+    """The proof in blowup, checked by the full gcd."""
+    bl = blowup(PlaneFoliation.from_form(OneForm(R2, form)))
+    for strict in (bl.chart_xt, bl.chart_uy):
+        _, common = saturate(strict.A, strict.B)
+        assert common.total_degree() == 0
+
+
 def test_blowup_dicritical_detection():
     # Lines through the origin: the divisor is transverse, not invariant.
     bl = blowup(_fol("(-y) dx + x dy"))
@@ -295,6 +306,15 @@ def test_blowup_ledger_dicritical():
     ]
     # Conservation through a dicritical blow-up counts the extra divisor term.
     assert rep.rhs_conservation == rep.mu0_F
+
+
+def test_strict_transforms_compute_no_gcd(monkeypatch):
+    # The corpus case blowup-dicritical.
+    F = _fol("(2*x^7 + 5*y^5) dx + (-5*x*y^4 - 3*x^6*y^2) dy")
+    spy = SaturateSpy(monkeypatch)
+    rep = verify_blowup_formula(F, _germ("y^3 - x^7"))
+    assert rep.mu_br_origin == 56
+    assert spy.calls_under("blowup") == 0
 
 
 # -- generalized curves -----------------------------------------------------------------

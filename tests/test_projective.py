@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
 
+from brindex.elim import saturate
 from brindex.errors import InvariantCurveError, IrrationalPointError
+from brindex.foliation import PlaneFoliation
 from brindex.parsing import parse_form, parse_poly
-from brindex.poly import ring
+from brindex.poly import OneForm, ring
 from brindex.projective import (
+    PROJ_RING,
     ProjectiveCurve,
     ProjectiveFoliation,
     foliation_milnor_sum,
     global_br_check,
 )
+from tests_util import SaturateSpy, affine_forms, with_form_examples
 
 R2 = ring("x", "y")
 
@@ -30,6 +35,35 @@ def test_homogenization_degree():
     assert pf.degree == 1
     radial = ProjectiveFoliation.from_affine(parse_form("(-y) dx + x dy", R2))
     assert radial.degree == 0
+
+
+@given(form=affine_forms())
+@with_form_examples
+def test_homogenization_and_charts_are_saturated_by_construction(form):
+    """The proofs in ProjectiveFoliation, checked by the full gcd: the
+    homogenized triple is what saturating it gives, and every chart pair
+    has a constant gcd."""
+    omega = OneForm(R2, form)
+    pf = ProjectiveFoliation.from_affine(omega)
+    fol = PlaneFoliation.from_form(omega)
+    m = max(fol.A.total_degree(), fol.B.total_degree())
+    Ahat, Bhat = (c.homogenize(PROJ_RING, 2, m) for c in (fol.A, fol.B))
+    x, y, z = (PROJ_RING.var(i) for i in range(3))
+    (P, Q, R), _ = saturate(z * Ahat, z * Bhat, -(x * Ahat + y * Bhat))
+    assert (pf.P, pf.Q, pf.R) == (P, Q, R)
+    assert pf.degree == max(P.total_degree(), Q.total_degree(), R.total_degree()) - 1
+    for chart in (pf.chart_z(), pf.chart_x(), pf.chart_y()):
+        _, common = saturate(chart.A, chart.B)
+        assert common.total_degree() == 0
+
+
+def test_charts_compute_no_gcd(monkeypatch):
+    spy = SaturateSpy(monkeypatch)
+    rep = _check("y dx + x dy", "y - x^2")  # the corpus case p2-pencil-conic
+    assert rep.lhs == rep.rhs == 7
+    # Only the affine form itself is saturated on the way to the charts.
+    assert spy.calls_under("from_affine") == 1
+    assert spy.calls_under("chart_z", "chart_x", "chart_y") == 0
 
 
 def test_projective_curve_charts():
