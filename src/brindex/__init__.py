@@ -1,10 +1,10 @@
 """Exact local invariants of 1-forms along hypersurface singularities.
 
-Everything is computed over the rationals: sparse polynomials with Fraction
-coefficients, local standard bases for colengths, and the indices built from
-them (Milnor, Tjurina, GSV, Bruce-Roberts and its relative version, radial
-index, Euler obstruction, tangency order), plus quadratic blow-ups and the
-global check on the projective plane.
+Everything is computed over the rationals: sparse polynomials with int or
+Fraction coefficients, local standard bases for colengths, and the indices
+built from them (Milnor, Tjurina, GSV, Bruce-Roberts and its relative
+version, radial index, Euler obstruction, tangency order), plus quadratic
+blow-ups and the global check on the projective plane.
 """
 
 from .config import Limits, get_limits, reset_limits, set_limits

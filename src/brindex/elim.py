@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 
 from .errors import ComputationError, IrrationalPointError
 from .poly import MPoly, exact_divide
@@ -216,17 +216,10 @@ def _derivative(a: list) -> list:
 # -- conversion from and to MPoly ---------------------------------------------
 
 
-def _integer_terms(f: MPoly) -> tuple[list, int]:
-    """The (exponent, int) terms of den * f, and den > 0, the lcm of the
-    denominators."""
-    den = lcm(*(c.denominator for _, c in f.terms()))
-    return [(e, c.numerator * (den // c.denominator)) for e, c in f.terms()], den
-
-
 def _to_dense(f: MPoly, order: list[int]):
     """Integer recursive dense form of den * f with main variable order[0];
     returns (form, den) with den > 0 the lcm of the denominators."""
-    items, den = _integer_terms(f)
+    items, den = f.integer_terms()
     return _build(items, order), den
 
 
@@ -252,7 +245,7 @@ def _from_dense(a, order: list[int], ring_, den: int = 1) -> MPoly:
 
     def walk(x, depth):
         if depth == len(order):
-            acc[tuple(exp)] = Fraction(x, den)
+            acc[tuple(exp)] = x if den == 1 else Fraction(x, den)
             return
         v = order[depth]
         for d, y in enumerate(x):
@@ -321,7 +314,7 @@ def poly_gcd(f: MPoly, g: MPoly) -> MPoly:
         d = g if f.is_zero else f
     else:
         n = f.ring.n
-        (a, _), (b, _) = _integer_terms(f), _integer_terms(g)
+        (a, _), (b, _) = f.integer_terms(), g.integer_terms()
         if _coprime_images(a, b, n):
             return f.ring.one()
         order = list(range(n))
@@ -329,7 +322,7 @@ def poly_gcd(f: MPoly, g: MPoly) -> MPoly:
         if _constant(d, n) is not None:
             return f.ring.one()
         d = _from_dense(d, order, f.ring)
-    return d.mono_mul((0,) * d.ring.n, 1 / d.leading_coeff())
+    return d.mono_mul((0,) * d.ring.n, Fraction(1) / d.leading_coeff())
 
 
 def saturate(*polys: MPoly) -> tuple[tuple[MPoly, ...], MPoly]:

@@ -171,12 +171,8 @@ def _int_strip(d: dict) -> dict:
 
 
 def _int_from_poly(f: MPoly, packer: _Packer) -> dict:
-    den = 1
-    for _, c in f.terms():
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return _int_strip(
-        {packer.pack(e): c.numerator * (den // c.denominator) for e, c in f.terms()}
-    )
+    terms, _ = f.integer_terms()
+    return _int_strip({packer.pack(e): c for e, c in terms})
 
 
 def _int_record(d: dict, packer: _Packer) -> tuple:
@@ -414,7 +410,11 @@ def _content_free(row: dict[int, int]) -> dict[int, int]:
 
 
 def _integer_terms(g: MPoly) -> list[tuple[Exp, int]]:
-    """The terms of g times the lcm of its denominators: the same ideal over Z."""
+    """The terms of g times the lcm of its denominators: the same ideal over Z.
+
+    The oracle keeps this copy of ``MPoly.integer_terms`` because it shares no
+    code with the standard-basis route it checks.
+    """
     den = functools.reduce(math.lcm, (c.denominator for _, c in g.terms()), 1)
     return [(e, c.numerator * (den // c.denominator)) for e, c in g.terms()]
 

@@ -3,8 +3,15 @@
 Terms are kept as a tuple sorted by the module-wide local monomial order
 (negative degree refined by reverse lexicography), so the leading term of a
 germ at the origin, the one of *minimal* total degree, sits at index 0 and
-``1`` is the largest monomial.  All coefficients are ``fractions.Fraction``;
-no floating point enters anywhere.
+``1`` is the largest monomial.
+
+A coefficient is stored as an ``int`` when it is integral and as a
+``fractions.Fraction`` only when its denominator exceeds 1, so integer inputs
+(the usual case) run on integer arithmetic.  ``_scalar`` makes that canonical
+form wherever a coefficient is built.  No coefficient is ever a float:
+``_scalar`` raises TypeError on one, and a caller that divides coefficients
+goes through ``Fraction`` (``Fraction(a) / b``), since ``/`` on two ints gives
+a float.
 """
 
 from __future__ import annotations
@@ -25,6 +32,24 @@ def local_key(e: Exp):
     lexicographically.  Compatible with multiplication, and 1 beats everything.
     """
     return (sum(e), e[::-1])
+
+
+def _term_key(item: tuple[Exp, Scalar]):
+    """``local_key`` of a (exponent, coefficient) term."""
+    e = item[0]
+    return (sum(e), e[::-1])
+
+
+def _scalar(c) -> Scalar:
+    """The canonical coefficient: an int when integral, else a Fraction.
+
+    Anything else, a float above all, is refused rather than converted.
+    """
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError(f"coefficient {c!r} is neither an int nor a Fraction")
 
 
 def global_key(e: Exp):
@@ -74,7 +99,7 @@ class Ring:
         return self.constant(1)
 
     def constant(self, c: Scalar) -> "MPoly":
-        c = Fraction(c)
+        c = _scalar(c)
         if c == 0:
             return self.zero()
         return MPoly(self, {(0,) * self.n: c})
@@ -85,12 +110,12 @@ class Ring:
             raise IndexError(f"variable index {i} out of range for {self.names}")
         e = [0] * self.n
         e[i] = 1
-        return MPoly(self, {tuple(e): Fraction(1)})
+        return MPoly(self, {tuple(e): 1})
 
     def monomial(self, exp: Exp, coeff: Scalar = 1) -> "MPoly":
         if len(exp) != self.n or any(k < 0 for k in exp):
             raise ValueError(f"bad exponent {exp} for ring {self.names}")
-        return MPoly(self, {tuple(exp): Fraction(coeff)})
+        return MPoly(self, {tuple(exp): _scalar(coeff)})
 
     def parse(self, text: str) -> "MPoly":
         from .parsing import parse_poly
@@ -110,19 +135,18 @@ class MPoly:
 
     ``_terms`` is a tuple of (exponent, coefficient) pairs sorted ascending by
     ``local_key``, i.e. the local leading term first.  Zero coefficients never
-    appear.
+    appear, and every coefficient is canonical (see ``_scalar``).
     """
 
     __slots__ = ("ring", "_terms")
 
     def __init__(self, ring: Ring, terms: dict):
-        cleaned = {e: c for e, c in terms.items() if c != 0}
+        cleaned = [
+            (e, c if type(c) is int else _scalar(c)) for e, c in terms.items() if c
+        ]
+        cleaned.sort(key=_term_key)
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(
-            self,
-            "_terms",
-            tuple(sorted(cleaned.items(), key=lambda item: local_key(item[0]))),
-        )
+        object.__setattr__(self, "_terms", tuple(cleaned))
 
     @classmethod
     def _from_sorted(cls, ring: Ring, terms: tuple) -> "MPoly":
@@ -141,19 +165,28 @@ class MPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def terms(self) -> Iterator[tuple[Exp, Fraction]]:
+    def terms(self) -> Iterator[tuple[Exp, Scalar]]:
         return iter(self._terms)
 
     def as_dict(self) -> dict:
         return dict(self._terms)
 
-    def coeff(self, exp: Exp) -> Fraction:
+    def integer_terms(self) -> tuple[tuple[tuple[Exp, int], ...], int]:
+        """The (exponent, int) terms of den * self, and den > 0, the lcm of the
+        coefficient denominators: the same polynomial up to a unit, over Z."""
+        terms = self._terms
+        if all(type(c) is int for _, c in terms):
+            return terms, 1
+        den = math.lcm(*(c.denominator for _, c in terms))
+        return tuple((e, c.numerator * (den // c.denominator)) for e, c in terms), den
+
+    def coeff(self, exp: Exp) -> Scalar:
         for e, c in self._terms:
             if e == exp:
                 return c
-        return Fraction(0)
+        return 0
 
-    def constant_term(self) -> Fraction:
+    def constant_term(self) -> Scalar:
         zero = (0,) * self.ring.n
         return self.coeff(zero)
 
@@ -163,7 +196,7 @@ class MPoly:
             raise ValueError("zero polynomial has no leading term")
         return self._terms[0][0]
 
-    def leading_coeff(self) -> Fraction:
+    def leading_coeff(self) -> Scalar:
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")
         return self._terms[0][1]
@@ -205,8 +238,8 @@ class MPoly:
                 j += 1
             else:
                 c = ca + cb
-                if c != 0:
-                    out.append((ea, c))
+                if c:
+                    out.append((ea, c if type(c) is int else _scalar(c)))
                 i += 1
                 j += 1
         out.extend(a[i:])
@@ -240,12 +273,12 @@ class MPoly:
 
     def mono_mul(self, exp: Exp, coeff: Scalar) -> "MPoly":
         """Multiply by coeff * x^exp.  Preserves canonical term order."""
-        coeff = Fraction(coeff)
+        coeff = _scalar(coeff)
         if coeff == 0:
             return self.ring.zero()
         return MPoly._from_sorted(
             self.ring,
-            tuple((exp_add(e, exp), c * coeff) for e, c in self._terms),
+            tuple((exp_add(e, exp), _scalar(c * coeff)) for e, c in self._terms),
         )
 
     def __mul__(self, other):
@@ -322,7 +355,8 @@ class MPoly:
         """Composite with x_i -> images[i]; images live in ``target``."""
         if len(images) != self.ring.n:
             raise ValueError("need one image per variable")
-        pow_cache: list[list[MPoly]] = [[target.one(), img] for img in images]
+        one = target.one()
+        pow_cache: list[list[MPoly]] = [[one, img] for img in images]
 
         def power(i: int, k: int) -> MPoly:
             cache = pow_cache[i]
@@ -330,37 +364,38 @@ class MPoly:
                 cache.append(cache[-1] * cache[1])
             return cache[k]
 
-        result = target.zero()
+        acc: dict = {}
         for e, c in self._terms:
-            term = target.constant(c)
+            term = one
             for i, k in enumerate(e):
                 if k:
-                    term = term * power(i, k)
-            result = result + term
-        return result
+                    term = power(i, k) if term is one else term * power(i, k)
+            for te, tc in term._terms:
+                acc[te] = acc.get(te, 0) + c * tc
+        return MPoly(target, acc)
 
-    def eval_at(self, point: Sequence[Scalar]) -> Fraction:
+    def eval_at(self, point: Sequence[Scalar]) -> Scalar:
         if len(point) != self.ring.n:
             raise ValueError("need one coordinate per variable")
-        pt = [Fraction(c) for c in point]
-        total = Fraction(0)
+        pt = [_scalar(c) for c in point]
+        total = 0
         for e, c in self._terms:
             val = c
             for i, k in enumerate(e):
                 if k:
                     val *= pt[i] ** k
             total += val
-        return total
+        return _scalar(total)
 
     def restrict(self, which: int, value: Scalar = 0) -> "MPoly":
         """A bivariate polynomial with variable ``which`` set to ``value``, as
         a univariate polynomial in the other variable."""
         keep = 1 - which
-        value = Fraction(value)
+        value = _scalar(value)
         acc: dict = {}
         for e, c in self._terms:
             out = (e[keep],)
-            acc[out] = acc.get(out, Fraction(0)) + c * value ** e[which]
+            acc[out] = acc.get(out, 0) + c * value ** e[which]
         return MPoly(ring(self.ring.names[keep]), acc)
 
     def translate(self, point: Sequence[Scalar]) -> "MPoly":
@@ -371,7 +406,7 @@ class MPoly:
         """
         if len(point) != self.ring.n:
             raise ValueError("need one coordinate per variable")
-        shifts = [Fraction(c) for c in point]
+        shifts = [_scalar(c) for c in point]
         acc: dict = {}
         for e, c in self._terms:
             expansion = {(): c}
@@ -409,7 +444,7 @@ class MPoly:
             for pos, k in zip(src_positions, e):
                 out[pos] = k
             out[j] += degree - d
-            acc[tuple(out)] = acc.get(tuple(out), Fraction(0)) + c
+            acc[tuple(out)] = acc.get(tuple(out), 0) + c
         return MPoly(target, acc)
 
     def dehomogenize(self, target: Ring, which: int | str, keep: Sequence[int | str]) -> "MPoly":
@@ -421,7 +456,7 @@ class MPoly:
         acc: dict = {}
         for e, c in self._terms:
             out = tuple(e[k] for k in keep_idx)
-            acc[out] = acc.get(out, Fraction(0)) + c
+            acc[out] = acc.get(out, 0) + c
         return MPoly(target, acc)
 
     # -- rendering -----------------------------------------------------------
@@ -472,8 +507,8 @@ def exact_divide(f: MPoly, g: MPoly) -> MPoly | None:
         if not monomial_divides(ge, re):
             return None
         qe = exp_sub(re, ge)
-        qc = rc / gc
-        quotient[qe] = quotient.get(qe, Fraction(0)) + qc
+        qc = Fraction(rc) / gc
+        quotient[qe] = quotient.get(qe, 0) + qc
         rem = rem - g_sorted.mono_mul(qe, qc)
     return MPoly(ring_, quotient)
 

@@ -60,7 +60,7 @@ def _sympy_rational_roots(p: MPoly):
 def _sympy_gcd(f: MPoly, g: MPoly) -> MPoly:
     """The gcd by sympy, scaled like poly_gcd (local leading coefficient 1)."""
     d = _from_sympy(_to_sympy(f).gcd(_to_sympy(g)), f.ring)
-    return d.mono_mul((0,) * f.ring.n, 1 / d.leading_coeff())
+    return d.mono_mul((0,) * f.ring.n, Fraction(1) / d.leading_coeff())
 
 
 def _outcome(p: MPoly):

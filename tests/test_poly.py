@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from brindex.elim import poly_gcd
 from brindex.errors import ExprParseError
 from brindex.parsing import MAX_DEGREE, MAX_NESTING, parse_form, parse_poly
 from brindex.poly import (
@@ -242,6 +243,80 @@ def test_exact_divide_rejects_non_multiples():
 @given(polys2, st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-3, 3))
 def test_mono_mul_matches_product(f, e, c):
     assert f.mono_mul(e, c) == f * MPoly(R2, {e: c})
+
+
+# -- canonical coefficients -----------------------------------------------------
+
+# Integral values are also drawn as Fraction(k, 1), which must come back as k.
+scalars = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)),
+)
+
+
+def _assert_canonical(f: MPoly) -> None:
+    for _, c in f.terms():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (f, c)
+
+
+@pytest.mark.parametrize("ring_", [R2, R3], ids=["n2", "n3"])
+@given(data=st.data())
+def test_canonical_coefficients_under_every_operation(ring_, data):
+    """Every coefficient is an int, or a Fraction whose denominator is not 1."""
+    n = ring_.n
+    f = data.draw(_poly_strategy(ring_, max_exp=3, max_terms=4), "f")
+    g = data.draw(_poly_strategy(ring_, max_exp=2, max_terms=3), "g")
+    c = data.draw(scalars, "c")
+    point = data.draw(st.tuples(*[scalars] * n), "point")
+    exp = data.draw(st.tuples(*[st.integers(0, 2)] * n), "exp")
+    images = [data.draw(_poly_strategy(ring_, max_exp=1, max_terms=3)) for _ in range(n)]
+    homog = ring(*ring_.names, "h")
+    results = [
+        f,
+        f + g,
+        f - g,
+        f * g,
+        f + c,
+        c - f,
+        f * c,
+        -f,
+        (f + g) ** 2,
+        ring_.constant(c),
+        ring_.monomial(exp, c),
+        f.mono_mul(exp, c),
+        f.subs(ring_, images),
+        f.translate(point),
+        f.homogenize(homog, "h"),
+        f.homogenize(homog, "h").dehomogenize(ring_, "h", keep=ring_.names),
+        parse_poly(repr(f), ring_),
+    ]
+    results += [f.partial(i) for i in range(n)]
+    if n == 2:
+        results += [f.restrict(i, point[i]) for i in range(n)]
+    if not g.is_zero:
+        results.append(exact_divide(f * g, g))
+        results.append(exact_divide(f, g) or ring_.zero())
+    for h in results:
+        _assert_canonical(h)
+    value = f.eval_at(point)
+    assert type(value) is int or value.denominator != 1
+
+
+def test_canonical_pinned_cases():
+    x, y = R2.var("x"), R2.var("y")
+    half = exact_divide(x + 1, 2 * x + 2)
+    assert half == R2.constant(Fraction(1, 2))
+    assert type(half.constant_term()) is Fraction
+    d = poly_gcd(2 * x + 2 * y, 4 * x + 4 * y)
+    assert d == x + y
+    assert all(type(c) is int for _, c in d.terms())
+    assert R2.constant(Fraction(6, 3)).constant_term() == 2
+    assert type(R2.constant(Fraction(6, 3)).constant_term()) is int
+    assert type(x.coeff((0, 0))) is int
+    with pytest.raises(TypeError):
+        R2.constant(0.5)
+    with pytest.raises(TypeError):
+        MPoly(R2, {(1, 0): 0.5})
 
 
 # -- 1-forms --------------------------------------------------------------------
