@@ -22,6 +22,12 @@ and the lcm takes each field from the operand whose guard survives
 for `_staircase`.  A degree of 2^(F-1) or more does not fit: `colength` then
 raises ResourceLimitError rather than return a value.
 
+In two variables `colength` reads the staircase of I + m^b for b = 8, 16, 32,
+... up to `_BOUND_CAP`, so no kept term reaches degree b.  The exponents of
+m^b reach `_staircase` only as a cap, never as records: the capped corner has
+degree < b, so a pair with an m^b monomial would lie past it and a term of
+degree >= b is cut before any reductor is chosen.
+
 Colength (the vector-space dimension of O_n / I) is read off the staircase of
 the completed basis's leading exponents, in every dimension; one routine
 (`_staircase`) gives both its cell count and its deepest cell.  The staircase
@@ -280,8 +286,10 @@ def _mora_nf(
     return h
 
 
-def _staircase_of(packer: _Packer, records: list, budget: _Budget) -> tuple | None:
-    """`_staircase` of a standard basis of the ideal the records generate.
+def _staircase_of(
+    packer: _Packer, records: list, budget: _Budget, cap: Sequence[Exp] = ()
+) -> tuple | None:
+    """`_staircase` of a standard basis of the ideal of the records and the cap.
 
     Buchberger pair loop over reductor records, Mora normal forms.  Pairs of
     single monomials are skipped: their s-polynomial is identically zero.
@@ -291,9 +299,13 @@ def _staircase_of(packer: _Packer, records: list, budget: _Budget) -> tuple | No
     lies past the corner is never formed, and since the heap pops lcms in
     increasing order while the corner, refreshed whenever the basis grows,
     only moves shallower, the loop ends at the first lcm past it.
+
+    ``cap`` holds exponents of monomials past the corner of the capped
+    staircase (those of m^b): they join the leads `_staircase` reads, nothing
+    else, as their pairs and reductions would all be cut at the corner.
     """
     basis = list(records)
-    leads = [packer.unpack(r[1]) for r in basis]
+    leads = [packer.unpack(r[1]) for r in basis] + list(cap)
     heap: list = []
     counter = itertools.count()
 
@@ -330,37 +342,20 @@ def _staircase_of(packer: _Packer, records: list, budget: _Budget) -> tuple | No
     return stairs
 
 
-def _colength_bounded(
-    gens: list, packer: _Packer, bound: int, budget: _Budget
-) -> int | None:
-    """Colength via a standard basis of I + m^bound, or None if uncertified.
-
-    Two variables; ``gens`` are the packed records of the generators of I.
-    The staircase of I + m^bound is the staircase of I cut at degree < bound.
-    A staircase cell of degree d forces divisor cells at every degree below
-    d, so if no cell reaches degree bound - 1 the cut changed nothing and the
-    count is the colength of I itself.
-    """
-    x_power = packer.pack((bound, 0))
-    y_over_x = packer.pack((0, 1)) - packer.pack((1, 0))
-    power = [({p: 1}, p, 0) for p in (x_power + k * y_over_x for k in range(bound + 1))]
-    count, deepest = _staircase_of(packer, gens + power, budget)
-    return None if sum(deepest) >= bound - 1 else count
-
-
 _BOUND_CAP = 256
 
 
 def colength(ideal: LocalIdeal) -> int | float:
     """dim_Q O_n / I as a local ring quotient; inf for non-isolated ideals.
 
-    In two variables the staircase is computed through certified truncations
-    I + m^b with doubling b, which keeps every intermediate polynomial degree
-    bounded.  An ideal of infinite colength never certifies; once the
-    truncations at b = 8 and b = 16 have both failed, a common factor of the
-    generators through the origin (their gcd) decides infinitude exactly.  In
-    three or more variables the staircase of a standard basis of I itself is
-    read.  One budget of `Limits.max_reduction_steps` covers the whole call.
+    In two variables the staircase of I + m^b is read for doubling b.  A cell
+    of degree d forces divisor cells at every degree below d, so when no cell
+    reaches degree b - 1 the cut changed nothing and the count is the
+    colength of I.  An ideal of infinite colength never certifies; once b = 8
+    and b = 16 have both failed, a common factor of the generators through the
+    origin (their gcd) decides infinitude exactly.  In three or more variables
+    the staircase of a standard basis of I itself is read.  One budget of
+    `Limits.max_reduction_steps` covers the whole call.
     """
     if ideal.ring.n == 1:
         return int(min(g.order() for g in ideal.gens))
@@ -370,9 +365,10 @@ def colength(ideal: LocalIdeal) -> int | float:
     if ideal.ring.n == 2:
         bound = 8
         while bound <= _BOUND_CAP:
-            value = _colength_bounded(gens, packer, bound, budget)
-            if value is not None:
-                return value
+            cap = [(bound - k, k) for k in range(bound + 1)]
+            count, deepest = _staircase_of(packer, gens, budget, cap)
+            if sum(deepest) < bound - 1:
+                return count
             if bound == 16 and not coprime_at_origin(*ideal.gens):
                 return INFINITY
             bound *= 2

@@ -18,10 +18,14 @@ from brindex.invariants import HypersurfaceGerm, trivial_evaluation_ideal
 from brindex.localalg import (
     INFINITY,
     LocalIdeal,
+    _Budget,
+    _int_from_poly,
+    _int_record,
     _monomials_below,
     _packer,
     _pivot_columns,
     _staircase,
+    _staircase_of,
     colength,
     colength_oracle,
     colength_oracle_auto,
@@ -249,7 +253,7 @@ def test_packed_exponents_agree_with_tuples(pair):
 @pytest.mark.parametrize(
     "field_bits, gens",
     [
-        (4, (R2, "x*y", "y^2 - x^3")),  # the m^8 records of the first bound
+        (4, (R2, "x^8 + y", "x")),  # a generator of degree 8
         (3, (R3, "x^2 + y^3", "x*y + z^2", "y^2 - x*z")),  # an s-polynomial
         (5, (R3, "z + y^7", "x^2*y^3*z^2 + x^3*y^2*z^3")),  # a reduction step
     ],
@@ -260,6 +264,43 @@ def test_packed_degree_overflow_raises(monkeypatch, field_bits, gens):
     monkeypatch.setattr(localalg, "_PACKERS", {})
     with pytest.raises(ResourceLimitError, match="does not fit"):
         colength(_ideal(*gens))
+
+
+def test_cap_is_never_packed(monkeypatch):
+    # Degree 8 does not fit 4-bit fields, yet the first bound is b = 8: the
+    # exponents of m^8 reach the staircase only as a cap, so nothing of
+    # degree 8 is packed.
+    monkeypatch.setattr(localalg, "_FIELD_BITS", 4)
+    monkeypatch.setattr(localalg, "_PACKERS", {})
+    assert colength(_ideal(R2, "x*y", "y^2 - x^3")) == 5
+
+
+# Up to four terms of degree <= 3 in each variable, coefficients in [-2, 2].
+_r2_terms = st.lists(
+    st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-2, 2)),
+    min_size=1,
+    max_size=4,
+)
+
+
+@pytest.mark.parametrize("bound", [8, 16])
+@given(st.lists(_r2_terms, min_size=1, max_size=3))
+def test_capped_staircase_matches_power_records(bound, gens_terms):
+    # The cap must leave every pair, reduction step and staircase as the m^b
+    # records did, not only the answer: the two budgets end equal.
+    polys = [MPoly(R2, dict(t)) for t in gens_terms]
+    polys = [f for f in polys if not f.is_zero]
+    if not polys:
+        return
+    packer = _packer(2)
+    gens = [_int_record(_int_from_poly(f, packer), packer) for f in polys]
+    cap = [(bound - k, k) for k in range(bound + 1)]
+    power = [({p: 1}, p, 0) for p in map(packer.pack, cap)]
+    capped, recorded = _Budget(10**6), _Budget(10**6)
+    assert _staircase_of(packer, gens, capped, cap) == _staircase_of(
+        packer, gens + power, recorded
+    )
+    assert capped.remaining == recorded.remaining
 
 
 # -- the oracle -------------------------------------------------------------------
@@ -279,22 +320,7 @@ def test_oracle_on_knowns():
     assert colength_oracle_auto(I) == 1
 
 
-@given(
-    st.lists(
-        st.tuples(
-            st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-2, 2)
-        ),
-        min_size=1,
-        max_size=4,
-    ),
-    st.lists(
-        st.tuples(
-            st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-2, 2)
-        ),
-        min_size=1,
-        max_size=4,
-    ),
-)
+@given(_r2_terms, _r2_terms)
 def test_oracle_agrees_with_standard_basis(fpairs, gpairs):
     f = MPoly(R2, dict(fpairs))
     g = MPoly(R2, dict(gpairs))
