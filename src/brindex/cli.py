@@ -82,7 +82,7 @@ def main(argv=None) -> int:
             try:
                 with open(args.file, encoding="utf-8") as fh:
                     text = fh.read()
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 1
             records = run_session_text(text)

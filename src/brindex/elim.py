@@ -591,6 +591,13 @@ def rational_roots(p: MPoly) -> list[tuple[Fraction, int]]:
     return out
 
 
+def common_rational_roots(a: MPoly, b: MPoly) -> list[Fraction]:
+    """The sorted roots of gcd(a, b), univariate and not both zero; raises
+    IrrationalPointError unless all are rational."""
+    h = b if a.is_zero else a if b.is_zero else poly_gcd(a, b)
+    return [] if h.total_degree() == 0 else [r for r, _ in rational_roots(h)]
+
+
 # -- factors without rational roots ----------------------------------------------
 
 
@@ -782,11 +789,9 @@ def rational_common_zeros(
         gy = g.restrict(0, x0)
         if fy.is_zero and gy.is_zero:
             raise ComputationError("polynomials share a vertical line of zeros")
-        h = gy if fy.is_zero else fy if gy.is_zero else poly_gcd(fy, gy)
-        if h.total_degree() <= 0:
-            continue  # spurious resultant root (leading coefficients vanish)
-        for y0, _ in rational_roots(h):
-            points.append((x0, y0))
+        # A fibre without common roots comes from a spurious resultant root,
+        # where both leading coefficients vanish.
+        points.extend((x0, y0) for y0 in common_rational_roots(fy, gy))
     points.sort()
     return points
 

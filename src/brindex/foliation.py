@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from dataclasses import InitVar, asdict, dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .elim import poly_gcd, rational_roots, saturate
+from .elim import common_rational_roots, rational_roots, saturate
 from .errors import (
     ComputationError,
     InvariantCurveError,
@@ -35,15 +36,16 @@ CHART_UY = ring("u", "y")
 
 @dataclass(frozen=True)
 class PlaneFoliation:
-    """Saturated foliation germ of (C^2, 0); coefficients of A dx + B dy."""
+    """Saturated foliation germ of (C^2, 0); coefficients of A dx + B dy.
+    It builds its blow-up and its extension to P^2 once each."""
 
     ring: Ring
     A: MPoly
     B: MPoly
     # True when A and B are known to be coprime, so saturation is skipped.
     # Callers that pass it, each with its proof at the call: ``translate`` (a
-    # ring automorphism), ``ProjectiveFoliation.chart_z/chart_x/chart_y``
-    # (the Euler relation) and the strict transforms of ``blowup`` (an
+    # ring automorphism), ``ProjectiveFoliation.chart`` (the Euler
+    # relation) and the strict transforms of ``blowup`` (an
     # isomorphism off the divisor, whose coordinate is divided out).
     saturated: InitVar[bool] = False
 
@@ -86,6 +88,17 @@ class PlaneFoliation:
         return PlaneFoliation(
             self.ring, self.A.translate(point), self.B.translate(point), saturated=True
         )
+
+    @cached_property
+    def blown_up(self) -> "BlowupResult":
+        return blowup(self)
+
+    @cached_property
+    def projective(self):
+        """The extension to P^2, a ``ProjectiveFoliation``."""
+        from .projective import ProjectiveFoliation  # projective imports this module
+
+        return ProjectiveFoliation.from_affine(self)
 
 
 T_RING = ring("t")
@@ -248,31 +261,25 @@ class ExceptionalPoint:
 def exceptional_singularities(bl: BlowupResult) -> list[tuple[ExceptionalPoint, int]]:
     """Singular points of the strict transform on the divisor, with local
     Milnor numbers.  All such points must be rational."""
-    out: list[tuple[ExceptionalPoint, int]] = []
     Fxt = bl.chart_xt
-    a0 = Fxt.A.restrict(0)
-    b0 = Fxt.B.restrict(0)
+    a0, b0 = Fxt.A.restrict(0), Fxt.B.restrict(0)
     if a0.is_zero and b0.is_zero:
         raise ComputationError("strict transform vanishes on the divisor")
-    h = b0 if a0.is_zero else a0 if b0.is_zero else poly_gcd(a0, b0)
-    if h.total_degree() > 0:
-        try:
-            roots = rational_roots(h)
-        except IrrationalPointError as exc:
-            raise IrrationalPointError(
-                f"irrational singularity on the exceptional divisor: {exc}"
-            ) from exc
-        for t0, _ in roots:
-            mu = Fxt.translate((Fraction(0), t0)).milnor()
-            if mu == INFINITY:
-                raise NonIsolatedError("non-isolated singularity on the divisor")
-            out.append((ExceptionalPoint("xt", t0), int(mu)))
-    Fuy = bl.chart_uy
-    if Fuy.is_singular_at_origin():
-        mu = Fuy.milnor()
+    try:
+        roots = common_rational_roots(a0, b0)
+    except IrrationalPointError as exc:
+        raise IrrationalPointError(
+            f"irrational singularity on the exceptional divisor: {exc}"
+        ) from exc
+    points = [(ExceptionalPoint("xt", t0), Fxt.translate((Fraction(0), t0))) for t0 in roots]
+    if bl.chart_uy.is_singular_at_origin():
+        points.append((ExceptionalPoint("uy", Fraction(0)), bl.chart_uy))
+    out = []
+    for p, fol in points:
+        mu = fol.milnor()
         if mu == INFINITY:
             raise NonIsolatedError("non-isolated singularity on the divisor")
-        out.append((ExceptionalPoint("uy", Fraction(0)), int(mu)))
+        out.append((p, int(mu)))
     return out
 
 
@@ -409,7 +416,7 @@ class BlowupReport:
 def verify_blowup_formula(
     F: PlaneFoliation, X: HypersurfaceGerm, q: ExceptionalPoint | None = None
 ) -> BlowupReport:
-    """Blow up once and compare mu_BR at the origin with the chart ledger.
+    """Compare mu_BR at the origin with the chart ledger of F's blow-up.
 
     q is the divisor point of the strict transform of X; by default it is
     derived, which requires X irreducible at the origin.
@@ -418,7 +425,7 @@ def verify_blowup_formula(
     mu_br_0 = origin.bruce_roberts()
     mu_br_rel_0 = origin.br_relative()
 
-    bl = blowup(F)
+    bl = F.blown_up
     bl_curve = strict_transform_curve(X)
     if q is None:
         q = bl_curve.unique_divisor_point()

@@ -9,29 +9,115 @@ degree of the foliation.
 The global check sums mu_p + tang_p - tau_p over all singular points of the
 foliation together with the tangency points against an invariant-free curve
 of degree r, and compares with d^2 + d + 1 + r(d + r - 1) - tau(X).  Every
-point is found in one of three disjoint regions: the affine chart z = 1, the
-line at infinity minus [0:1:0], and the single point [0:1:0].
+point lies in one of three disjoint regions, each read in one affine chart,
+a row of ``CHARTS``:
+
+    0  the affine plane                  chart z = 1, (x, y)
+    1  the line at infinity but [0:1:0]  chart x = 1, (u, v) = (y/x, z/x), at v = 0
+    2  the point [0:1:0]                 chart y = 1, (s, w) = (x/y, z/y), at the origin
+
+A ``ProjectiveFoliation`` owns its regions, and each region owns its
+singular points with their Milnor numbers.  The Milnor sum reads them, and
+the global check adds the tangency points with their tang and tau.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .elim import is_squarefree, poly_gcd, rational_common_zeros, rational_roots
-from .errors import (
-    ComputationError,
-    InvariantCurveError,
-    IrrationalPointError,
-)
+from .elim import common_rational_roots, is_squarefree, rational_common_zeros
+from .errors import ComputationError, InvariantCurveError, IrrationalPointError
 from .foliation import PlaneFoliation
 from .invariants import Check, HypersurfaceGerm, LocalPair
 from .localalg import INFINITY
-from .poly import MPoly, OneForm, exact_divide, ring
+from .poly import MPoly, exact_divide, ring
 
 PROJ_RING = ring("x", "y", "z")
-CHART_X = ring("u", "v")  # (u, v) = (y/x, z/x), divisor at infinity is v = 0
-CHART_Y = ring("s", "w")  # (s, w) = (x/y, z/y)
+Point = tuple[Fraction, Fraction]
+
+
+def _affine_zeros(f: MPoly, g: MPoly, what: str) -> list[Point]:
+    """Common rational zeros of a pair defining a finite set in the chart z = 1."""
+    # A nonzero constant vanishes nowhere; so does a saturated form with a
+    # zero coefficient, whose other coefficient is a constant.
+    if f.total_degree() == 0 or g.total_degree() == 0:
+        return []
+    if f.is_zero or g.is_zero:
+        raise InvariantCurveError(f"{what} locus is a whole curve, not a finite set")
+    try:
+        return rational_common_zeros(f, g)
+    except IrrationalPointError as exc:
+        raise IrrationalPointError(f"irrational {what} point: {exc}") from exc
+    except ComputationError as exc:
+        raise InvariantCurveError(f"{what} locus is not finite: {exc}") from exc
+
+
+def _line_zeros(f: MPoly, g: MPoly, what: str) -> list[Point]:
+    """Common rational zeros on the line at infinity v = 0 of the chart x = 1."""
+    a, b = f.restrict(1), g.restrict(1)
+    if a.is_zero and b.is_zero:
+        raise InvariantCurveError(f"{what} locus contains the line at infinity")
+    try:
+        roots = common_rational_roots(a, b)
+    except IrrationalPointError as exc:
+        msg = f"irrational {what} point on the line at infinity: {exc}"
+        raise IrrationalPointError(msg) from exc
+    return [(u, Fraction(0)) for u in roots]
+
+
+def _origin_zeros(f: MPoly, g: MPoly, what: str) -> list[Point]:
+    """The origin of the chart y = 1, that is [0:1:0], if f and g vanish there."""
+    zero = Fraction(0)
+    return [(zero, zero)] if f.constant_term() == 0 == g.constant_term() else []
+
+
+# Per region: the chart ring, the variable set to 1, the variables kept, and
+# the common zeros of two chart polynomials in the region.
+CHARTS = (
+    (ring("x", "y"), 2, (0, 1), _affine_zeros),
+    (ring("u", "v"), 0, (1, 2), _line_zeros),
+    (ring("s", "w"), 1, (0, 2), _origin_zeros),
+)
+
+
+@dataclass(frozen=True)
+class Region:
+    """One of the three regions of P^2, with the foliation in its chart."""
+
+    k: int  # row of CHARTS
+    fol: PlaneFoliation
+
+    def point(self, p: Point) -> tuple[Fraction, Fraction, Fraction]:
+        """Projective coordinates of the chart point p."""
+        keep = CHARTS[self.k][2]
+        coords = [Fraction(1)] * 3
+        coords[keep[0]], coords[keep[1]] = p
+        return tuple(coords)
+
+    def zeros(self, f: MPoly, g: MPoly, what: str) -> list[Point]:
+        """The sorted common zeros of f and g here, all rational, in the chart."""
+        return CHARTS[self.k][3](f, g, what)
+
+    @cached_property
+    def singular_zeros(self) -> list[Point]:
+        return self.zeros(self.fol.A, self.fol.B, "singular")
+
+    @cached_property
+    def singular_points(self) -> dict[Point, int]:
+        """The singular points of this region with their Milnor numbers.
+
+        The candidates are the common zeros of A and B here.  At any other
+        point A or B is a unit, so mu is 0 there without a colength.
+        """
+        out: dict[Point, int] = {}
+        for p in self.singular_zeros:
+            mu = self.fol.translate(p).milnor()
+            if mu == INFINITY:
+                raise ComputationError(f"non-isolated foliation singularity at {self.point(p)}")
+            out[p] = int(mu)
+        return out
 
 
 @dataclass(frozen=True)
@@ -51,7 +137,7 @@ class ProjectiveFoliation:
     degree: int
 
     @classmethod
-    def from_affine(cls, omega: OneForm) -> "ProjectiveFoliation":
+    def from_affine(cls, fol: PlaneFoliation) -> "ProjectiveFoliation":
         """Homogenize the saturated A dx + B dy to degree m = max(deg A,
         deg B) as Ahat, Bhat, and divide the gcd out of the triple
         (z Ahat, z Bhat, R) with R = -(x Ahat + y Bhat).
@@ -62,7 +148,6 @@ class ProjectiveFoliation:
         divides R, that is when x A_m + y B_m = 0 for the degree-m parts
         A_m, B_m, and 1 otherwise.
         """
-        fol = PlaneFoliation.from_form(omega)
         A, B = fol.A, fol.B
         m = max(A.total_degree(), B.total_degree())
         Ahat = A.homogenize(PROJ_RING, 2, m)
@@ -79,33 +164,16 @@ class ProjectiveFoliation:
         d = max(P.total_degree(), Q.total_degree(), R.total_degree()) - 1
         return cls(P, Q, R, d)
 
-    def chart_z(self) -> PlaneFoliation:
-        """Affine chart z = 1 with coordinates (x, y)."""
-        R2 = ring("x", "y")
-        return PlaneFoliation(
-            R2,
-            self.P.dehomogenize(R2, 2, [0, 1]),
-            self.Q.dehomogenize(R2, 2, [0, 1]),
-            saturated=True,
-        )
+    def chart(self, k: int) -> PlaneFoliation:
+        """The foliation in the chart of region k: the coefficients of the
+        kept variables, dehomogenized."""
+        R2, which, keep, _ = CHARTS[k]
+        A, B = ((self.P, self.Q, self.R)[i].dehomogenize(R2, which, keep) for i in keep)
+        return PlaneFoliation(R2, A, B, saturated=True)
 
-    def chart_x(self) -> PlaneFoliation:
-        """Chart x = 1 with (u, v) = (y/x, z/x); infinity is v = 0."""
-        return PlaneFoliation(
-            CHART_X,
-            self.Q.dehomogenize(CHART_X, 0, [1, 2]),
-            self.R.dehomogenize(CHART_X, 0, [1, 2]),
-            saturated=True,
-        )
-
-    def chart_y(self) -> PlaneFoliation:
-        """Chart y = 1 with (s, w) = (x/y, z/y); [0:1:0] is the origin."""
-        return PlaneFoliation(
-            CHART_Y,
-            self.P.dehomogenize(CHART_Y, 1, [0, 2]),
-            self.R.dehomogenize(CHART_Y, 1, [0, 2]),
-            saturated=True,
-        )
+    @cached_property
+    def regions(self) -> tuple[Region, ...]:
+        return tuple(Region(k, self.chart(k)) for k in range(3))
 
 
 @dataclass(frozen=True)
@@ -125,43 +193,9 @@ class ProjectiveCurve:
             raise ComputationError("projective curve equation is not reduced")
         return cls(F, r)
 
-    def chart_z(self) -> MPoly:
-        return self.F.dehomogenize(ring("x", "y"), 2, [0, 1])
-
-    def chart_x(self) -> MPoly:
-        return self.F.dehomogenize(CHART_X, 0, [1, 2])
-
-    def chart_y(self) -> MPoly:
-        return self.F.dehomogenize(CHART_Y, 1, [0, 2])
-
-
-def _affine_candidates(f: MPoly, g: MPoly, what: str) -> list[tuple[Fraction, Fraction]]:
-    """Common rational zeros of a pair defining a finite set."""
-    if f.is_zero or g.is_zero:
-        raise InvariantCurveError(f"{what} locus is a whole curve, not a finite set")
-    if f.total_degree() == 0 or g.total_degree() == 0:
-        return []  # a nonzero constant vanishes nowhere
-    try:
-        return rational_common_zeros(f, g)
-    except IrrationalPointError as exc:
-        raise IrrationalPointError(f"irrational {what} point: {exc}") from exc
-    except ComputationError as exc:
-        raise InvariantCurveError(f"{what} locus is not finite: {exc}") from exc
-
-
-def _line_candidates(a: MPoly, b: MPoly, what: str) -> list[Fraction]:
-    """Common rational zeros on the line at infinity; a, b univariate."""
-    if a.is_zero and b.is_zero:
-        raise InvariantCurveError(f"{what} locus contains the line at infinity")
-    h = b if a.is_zero else a if b.is_zero else poly_gcd(a, b)
-    if h.total_degree() == 0:
-        return []
-    try:
-        return [r for r, _ in rational_roots(h)]
-    except IrrationalPointError as exc:
-        raise IrrationalPointError(
-            f"irrational {what} point on the line at infinity: {exc}"
-        ) from exc
+    def chart(self, k: int) -> MPoly:
+        R2, which, keep, _ = CHARTS[k]
+        return self.F.dehomogenize(R2, which, keep)
 
 
 @dataclass(frozen=True)
@@ -176,24 +210,18 @@ class PointContribution:
         return self.mu + self.tang - self.tau
 
 
-def _contribution_at(
-    fol: PlaneFoliation,
-    curve_chart: MPoly,
-    chart_point: tuple[Fraction, Fraction],
-    proj_point: tuple[Fraction, Fraction, Fraction],
-) -> PointContribution:
-    local = fol.translate(chart_point)
-    mu = local.milnor()
-    if mu == INFINITY:
-        raise ComputationError(f"non-isolated foliation singularity at {proj_point}")
-    phi_local = curve_chart.translate(chart_point)
+def _contribution_at(region: Region, curve: MPoly, p: Point, mu: int) -> PointContribution:
+    """mu at p, with tang and tau when the curve's chart equation passes
+    through p."""
+    point = region.point(p)
+    phi_local = curve.translate(p)
     if phi_local.constant_term() != 0:
-        return PointContribution(proj_point, int(mu), 0, 0)
+        return PointContribution(point, mu, 0, 0)
     # The local form is saturated, so its GSV index is the tangency order.
-    pair = LocalPair(local.form, HypersurfaceGerm(phi_local))
+    pair = LocalPair(region.fol.translate(p).form, HypersurfaceGerm(phi_local))
     if pair.gsv == INFINITY:
-        raise InvariantCurveError(f"a branch of the curve at {proj_point} is invariant")
-    return PointContribution(proj_point, int(mu), int(pair.gsv), int(pair.tau0))
+        raise InvariantCurveError(f"a branch of the curve at {point} is invariant")
+    return PointContribution(point, mu, int(pair.gsv), int(pair.tau0))
 
 
 @dataclass(frozen=True)
@@ -269,73 +297,40 @@ class GlobalReport(MilnorSumReport):
         ]
 
 
-def _walk(
-    pf: ProjectiveFoliation, pc: ProjectiveCurve | None = None
-) -> tuple[PointContribution, ...]:
-    """The contributions of every singular point of pf and, given a curve pc,
-    of every tangency point against it, walking the three regions in order.
-    Without a curve every contribution is the Milnor number alone."""
-    out: list[PointContribution] = []
-
-    # Region 1: the affine chart z = 1.
-    fol = pf.chart_z()
-    phi = fol.ring.one() if pc is None else pc.chart_z()
-    seen: set[tuple[Fraction, Fraction]] = set()
-    if not (fol.A.is_zero or fol.B.is_zero):
-        seen.update(_affine_candidates(fol.A, fol.B, "singular"))
-    if pc is not None:
-        vphi = fol.tangent_field_applied(phi)
-        if vphi.is_zero:
-            raise InvariantCurveError("the curve is invariant by the foliation")
-        seen.update(_affine_candidates(phi, vphi, "tangency"))
-    for pt in sorted(seen):
-        out.append(_contribution_at(fol, phi, pt, (pt[0], pt[1], Fraction(1))))
-
-    # Region 2: the line at infinity minus [0:1:0], in the chart x = 1.
-    fol = pf.chart_x()
-    phi = fol.ring.one() if pc is None else pc.chart_x()
-    line_pts = set(_line_candidates(fol.A.restrict(1), fol.B.restrict(1), "singular"))
-    if pc is not None:
-        vphi = fol.tangent_field_applied(phi)
-        line_pts.update(_line_candidates(phi.restrict(1), vphi.restrict(1), "tangency"))
-    for u0 in sorted(line_pts):
-        out.append(
-            _contribution_at(fol, phi, (u0, Fraction(0)), (Fraction(1), u0, Fraction(0)))
-        )
-
-    # Region 3: the single remaining point [0:1:0].  Without a curve phi is 1,
-    # which is never tangent.
-    fol = pf.chart_y()
-    phi = fol.ring.one() if pc is None else pc.chart_y()
-    tangent_here = (
-        phi.constant_term() == 0
-        and fol.tangent_field_applied(phi).constant_term() == 0
-    )
-    if fol.is_singular_at_origin() or tangent_here:
-        out.append(
-            _contribution_at(
-                fol,
-                phi,
-                (Fraction(0), Fraction(0)),
-                (Fraction(0), Fraction(1), Fraction(0)),
-            )
-        )
-    return tuple(out)
-
-
-def global_br_check(omega: OneForm, phi: MPoly) -> GlobalReport:
+def global_br_check(fol: PlaneFoliation, phi: MPoly) -> GlobalReport:
     """Sum the local contributions over the whole projective plane.
 
-    omega and phi are given in the affine chart z = 1.  Every candidate point
-    must be rational; the curve may pass through infinity but no branch of it
-    may be invariant.
+    The saturated foliation and phi are given in the affine chart z = 1.
+    Every candidate point must be rational; the curve may pass through
+    infinity but no branch of it may be invariant.  In each region, in turn,
+    the singular and then the tangency points are found before any Milnor
+    number, tang or tau, so a zero-finding error comes before a colength one.
     """
-    pf = ProjectiveFoliation.from_affine(omega)
+    pf = fol.projective
     pc = ProjectiveCurve.from_affine(phi)
-    return GlobalReport(d=pf.degree, r=pc.r, points=_walk(pf, pc))
+    points: list[PointContribution] = []
+    for region in pf.regions:
+        singular = region.singular_zeros
+        curve = pc.chart(region.k)
+        vphi = region.fol.tangent_field_applied(curve)
+        # Only in the affine chart: in the others the curve's equation may be
+        # a constant (the line x or y), which no field moves.
+        if region.k == 0 and vphi.is_zero:
+            raise InvariantCurveError("the curve is invariant by the foliation")
+        tangency = region.zeros(curve, vphi, "tangency")
+        milnor = region.singular_points
+        for p in sorted({*singular, *tangency}):
+            points.append(_contribution_at(region, curve, p, milnor.get(p, 0)))
+    return GlobalReport(d=pf.degree, r=pc.r, points=tuple(points))
 
 
-def foliation_milnor_sum(omega: OneForm) -> MilnorSumReport:
-    """Locate all singular points of the extended foliation and sum mu_p."""
-    pf = ProjectiveFoliation.from_affine(omega)
-    return MilnorSumReport(d=pf.degree, points=_walk(pf))
+def foliation_milnor_sum(fol: PlaneFoliation) -> MilnorSumReport:
+    """Sum mu_p over the singular points of the saturated foliation's
+    extension to P^2."""
+    pf = fol.projective
+    points = tuple(
+        PointContribution(region.point(p), mu, 0, 0)
+        for region in pf.regions
+        for p, mu in region.singular_points.items()
+    )
+    return MilnorSumReport(d=pf.degree, points=points)

@@ -16,6 +16,11 @@ euler, blowup, blowup-verify, pullback-order, gc-check, p2-check.
 Each compute line yields one ResultRecord; the JSON form carries exactly the
 keys directive, inputs, values, checks (timing is human-output only, so two
 runs of the same session are byte-identical).
+
+A session keeps one ``LocalPair`` per (form, germ), which computes the base
+colengths once, and one saturated ``PlaneFoliation`` per form, which computes
+its blow-up and its singular points on P^2 with their Milnor numbers once.
+Nothing outlives the session; a failed computation is not kept.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from .foliation import (
     T_RING,
     Parametrization,
     PlaneFoliation,
-    blowup,
     generalized_curve_check,
     order_pullback,
     verify_blowup_formula,
@@ -91,6 +95,7 @@ class Session:
         # One LocalPair per (form, germ), so each base colength is computed
         # once per session, whichever directives ask for it.
         self.pairs: dict[tuple[OneForm, HypersurfaceGerm], LocalPair] = {}
+        self.foliations: dict[OneForm, PlaneFoliation] = {}
         self.records: list[ResultRecord] = []
 
     # -- name plumbing ---------------------------------------------------
@@ -132,6 +137,11 @@ class Session:
         omega = self._get(self.forms, form_name, "form", line)
         X = self._germ_of(curve_name, line)
         return self.pairs.setdefault((omega, X), LocalPair(omega, X))
+
+    def _foliation(self, omega: OneForm) -> PlaneFoliation:
+        if omega not in self.foliations:  # saturates, so built only once
+            self.foliations[omega] = PlaneFoliation.from_form(omega)
+        return self.foliations[omega]
 
     # -- statement execution ----------------------------------------------
 
@@ -342,7 +352,7 @@ class Session:
     def _run_blowup(self, args, line) -> ResultRecord:
         self._need_args(args, (1,), "blowup FORM", line)
         omega = self._get(self.forms, args[0], "form", line)
-        bl = blowup(PlaneFoliation.from_form(omega))
+        bl = self._foliation(omega).blown_up
         values = {
             "nu": bl.nu,
             "k": bl.k,
@@ -356,7 +366,7 @@ class Session:
         self._need_args(args, (2,), "blowup-verify FORM CURVE", line)
         omega = self._get(self.forms, args[0], "form", line)
         X = self._germ_of(args[1], line)
-        rep = verify_blowup_formula(PlaneFoliation.from_form(omega), X)
+        rep = verify_blowup_formula(self._foliation(omega), X)
         return ResultRecord("blowup-verify", tuple(args), rep.values(), rep.checks())
 
     def _run_pullback_order(self, args, line) -> ResultRecord:
@@ -384,16 +394,17 @@ class Session:
         omega = self._get(self.forms, args[0], "form", line)
         sep = self._get_poly_like(args[1], line)
         X = self._germ_of(args[2], line)
-        rep = generalized_curve_check(PlaneFoliation.from_form(omega), sep, X)
+        rep = generalized_curve_check(self._foliation(omega), sep, X)
         return ResultRecord("gc-check", tuple(args), rep.values(), rep.checks())
 
     def _run_p2_check(self, args, line) -> ResultRecord:
         self._need_args(args, (1, 2), "p2-check FORM [CURVE]", line)
         omega = self._get(self.forms, args[0], "form", line)
         if len(args) == 1:
-            rep = foliation_milnor_sum(omega)
+            rep = foliation_milnor_sum(self._foliation(omega))
         else:
-            rep = global_br_check(omega, self._get_poly_like(args[1], line))
+            phi = self._get_poly_like(args[1], line)
+            rep = global_br_check(self._foliation(omega), phi)
         return ResultRecord("p2-check", tuple(args), rep.values(), rep.checks())
 
 

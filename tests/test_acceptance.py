@@ -228,19 +228,15 @@ def test_criterion_08_oracle_agreement(capfd, suite_a, suite_b):
 def test_criterion_09_global_projective_sums(capfd):
     ok, detail = False, ""
     try:
+        cases = {
+            "pencil-line": ("y dx + x dy", "x + y - 1"),
+            "radial-line": ("(-y) dx + x dy", "x + y - 1"),
+            "pencil-conic": ("y dx + x dy", "y - x^2"),
+            "radial-cusp": ("(-y) dx + x dy", "y^2 - x^3"),
+        }
         reports = {
-            "pencil-line": global_br_check(
-                parse_form("y dx + x dy", R2), parse_poly("x + y - 1", R2)
-            ),
-            "radial-line": global_br_check(
-                parse_form("(-y) dx + x dy", R2), parse_poly("x + y - 1", R2)
-            ),
-            "pencil-conic": global_br_check(
-                parse_form("y dx + x dy", R2), parse_poly("y - x^2", R2)
-            ),
-            "radial-cusp": global_br_check(
-                parse_form("(-y) dx + x dy", R2), parse_poly("y^2 - x^3", R2)
-            ),
+            k: global_br_check(PlaneFoliation.from_form(parse_form(w, R2)), parse_poly(c, R2))
+            for k, (w, c) in cases.items()
         }
         sums = {k: (r.lhs, r.rhs) for k, r in reports.items()}
         ok = (

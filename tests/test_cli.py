@@ -69,9 +69,14 @@ def test_parse_error_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_missing_file_exits_1(capsys):
-    assert main(["run", "/does/not/exist.session"]) == 1
-    assert "error" in capsys.readouterr().err
+def test_missing_file_exits_1(tmp_path, capsys):
+    """A missing file, and a file that is not UTF-8, end in exit 1."""
+    not_utf8 = tmp_path / "latin1.session"
+    not_utf8.write_bytes(b"ring x, y\n# \xff\n")
+    for path in ("/does/not/exist.session", str(not_utf8)):
+        assert main(["run", path]) == 1
+        err = capsys.readouterr().err
+        assert "error" in err and "Traceback" not in err
 
 
 def test_math_domain_error_exits_2(tmp_path, capsys):

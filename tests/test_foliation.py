@@ -29,7 +29,7 @@ from brindex.invariants import HypersurfaceGerm, LocalPair, intersection_mult
 from brindex.localalg import INFINITY
 from brindex.parsing import parse_form, parse_poly
 from brindex.poly import OneForm, ring
-from tests_util import SaturateSpy, affine_forms, with_form_examples
+from tests_util import CallSpy, affine_forms, with_form_examples
 
 R2 = ring("x", "y")
 
@@ -311,7 +311,7 @@ def test_blowup_ledger_dicritical():
 def test_strict_transforms_compute_no_gcd(monkeypatch):
     # The corpus case blowup-dicritical.
     F = _fol("(2*x^7 + 5*y^5) dx + (-5*x*y^4 - 3*x^6*y^2) dy")
-    spy = SaturateSpy(monkeypatch)
+    spy = CallSpy(monkeypatch, "elim", "saturate")
     rep = verify_blowup_formula(F, _germ("y^3 - x^7"))
     assert rep.mu_br_origin == 56
     assert spy.calls_under("blowup") == 0

@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given
 
+from brindex.config import reset_limits, set_limits
 from brindex.elim import saturate
-from brindex.errors import InvariantCurveError, IrrationalPointError
+from brindex.errors import InvariantCurveError, IrrationalPointError, ResourceLimitError
 from brindex.foliation import PlaneFoliation
 from brindex.parsing import parse_form, parse_poly
 from brindex.poly import OneForm, ring
@@ -17,13 +18,17 @@ from brindex.projective import (
     foliation_milnor_sum,
     global_br_check,
 )
-from tests_util import SaturateSpy, affine_forms, with_form_examples
+from tests_util import CallSpy, affine_forms, with_form_examples
 
 R2 = ring("x", "y")
 
 
+def _fol(form_text: str) -> PlaneFoliation:
+    return PlaneFoliation.from_form(parse_form(form_text, R2))
+
+
 def _check(form_text: str, curve_text: str):
-    return global_br_check(parse_form(form_text, R2), parse_poly(curve_text, R2))
+    return global_br_check(_fol(form_text), parse_poly(curve_text, R2))
 
 
 def _passed(rep) -> dict[str, bool]:
@@ -31,9 +36,9 @@ def _passed(rep) -> dict[str, bool]:
 
 
 def test_homogenization_degree():
-    pf = ProjectiveFoliation.from_affine(parse_form("y dx + x dy", R2))
+    pf = PlaneFoliation.from_form(parse_form("y dx + x dy", R2)).projective
     assert pf.degree == 1
-    radial = ProjectiveFoliation.from_affine(parse_form("(-y) dx + x dy", R2))
+    radial = PlaneFoliation.from_form(parse_form("(-y) dx + x dy", R2)).projective
     assert radial.degree == 0
 
 
@@ -43,33 +48,32 @@ def test_homogenization_and_charts_are_saturated_by_construction(form):
     """The proofs in ProjectiveFoliation, checked by the full gcd: the
     homogenized triple is what saturating it gives, and every chart pair
     has a constant gcd."""
-    omega = OneForm(R2, form)
-    pf = ProjectiveFoliation.from_affine(omega)
-    fol = PlaneFoliation.from_form(omega)
+    fol = PlaneFoliation.from_form(OneForm(R2, form))
+    pf = ProjectiveFoliation.from_affine(fol)
     m = max(fol.A.total_degree(), fol.B.total_degree())
     Ahat, Bhat = (c.homogenize(PROJ_RING, 2, m) for c in (fol.A, fol.B))
     x, y, z = (PROJ_RING.var(i) for i in range(3))
     (P, Q, R), _ = saturate(z * Ahat, z * Bhat, -(x * Ahat + y * Bhat))
     assert (pf.P, pf.Q, pf.R) == (P, Q, R)
     assert pf.degree == max(P.total_degree(), Q.total_degree(), R.total_degree()) - 1
-    for chart in (pf.chart_z(), pf.chart_x(), pf.chart_y()):
+    for chart in (pf.chart(k) for k in range(3)):
         _, common = saturate(chart.A, chart.B)
         assert common.total_degree() == 0
 
 
 def test_charts_compute_no_gcd(monkeypatch):
-    spy = SaturateSpy(monkeypatch)
+    spy = CallSpy(monkeypatch, "elim", "saturate")
     rep = _check("y dx + x dy", "y - x^2")  # the corpus case p2-pencil-conic
     assert rep.lhs == rep.rhs == 7
     # Only the affine form itself is saturated on the way to the charts.
-    assert spy.calls_under("from_affine") == 1
-    assert spy.calls_under("chart_z", "chart_x", "chart_y") == 0
+    assert spy.calls_under("from_form") == 1
+    assert spy.calls_under("from_affine", "chart") == 0
 
 
 def test_projective_curve_charts():
     pc = ProjectiveCurve.from_affine(parse_poly("y - x^2", R2))
     assert pc.r == 2
-    assert pc.chart_z() == parse_poly("y - x^2", R2)
+    assert pc.chart(0) == parse_poly("y - x^2", R2)
 
 
 def test_pencil_against_a_line():
@@ -111,7 +115,7 @@ def test_every_contribution_is_located():
 
 
 def test_milnor_sum_without_a_curve():
-    rep = foliation_milnor_sum(parse_form("(-3*x^2) dx + 2*y dy", R2))
+    rep = foliation_milnor_sum(_fol("(-3*x^2) dx + 2*y dy"))
     assert rep.d == 2
     assert rep.mu_sum == 7
     assert rep.expected == 7
@@ -125,6 +129,34 @@ def test_invariant_curve_is_rejected():
     # Same leaf hiding as one branch of a reducible curve.
     with pytest.raises(InvariantCurveError):
         _check("y dx + x dy", "x*(x + y - 1)")
+
+
+def test_a_line_constant_in_a_chart_is_not_invariant():
+    # x is the constant 1 in the chart x = 1, and y in the chart y = 1; no
+    # field moves a constant, so the check runs in the affine chart only.
+    for form, curve, point in (("0 dx + 1 dy", "x", "100"), ("1 dx + 0 dy", "y", "010")):
+        rep = _check(form, curve)
+        assert all(_passed(rep).values())
+        assert [("".join(map(str, p.point)), p.mu, p.tang, p.tau) for p in rep.points] == [
+            (point, 1, 0, 0)
+        ]
+
+
+def test_zeros_are_found_before_any_colength():
+    """Within a region too, as in the walk region by region: under a step
+    budget that the Milnor number at the origin exceeds, a curve with an
+    invariant component still raises InvariantCurveError.  The raise caches
+    nothing, so the same foliation raises again."""
+    fol = _fol("(y^2 + x^3*y) dx + (x^5 + y^2) dy")  # y = 0 is invariant
+    set_limits(max_reduction_steps=1)
+    try:
+        for _ in range(2):
+            with pytest.raises(ResourceLimitError):
+                foliation_milnor_sum(fol)
+            with pytest.raises(InvariantCurveError, match="tangency locus is not finite"):
+                global_br_check(fol, parse_poly("y", R2))
+    finally:
+        reset_limits()
 
 
 def test_irrational_singularities_are_reported():

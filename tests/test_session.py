@@ -3,16 +3,23 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given
 
 from brindex.config import reset_limits
+from brindex.corpus import CASES
 from brindex.errors import (
+    BrindexError,
     ComputationError,
     InvariantCurveError,
     SessionError,
 )
-from brindex.session import render_human, render_jsonl, run_session_text
+from brindex.session import Session, render_human, render_jsonl, run_session_text
+from tests_util import CallSpy, affine_forms, with_form_examples
+
+DEMO = Path(__file__).resolve().parents[1] / "scripts" / "demo.session"
 
 
 @pytest.fixture(autouse=True)
@@ -210,3 +217,78 @@ def test_human_rendering():
     assert "ms)" in out
     assert out.rstrip().endswith("failed")
     assert "mu_br" in out
+
+
+# -- one owner per fact -----------------------------------------------------------------
+
+
+def test_a_session_saturates_blows_up_and_walks_each_form_once(monkeypatch):
+    saturations = CallSpy(monkeypatch, "elim", "saturate")
+    blowups = CallSpy(monkeypatch, "foliation", "blowup")
+    zeros = CallSpy(monkeypatch, "elim", "rational_common_zeros")
+    text = """
+    ring x, y
+    form w = y dx + x dy
+    curve C = y - x^2
+    compute blowup w
+    compute blowup-verify w C
+    compute p2-check w
+    compute p2-check w C
+    """
+    records = run_session_text(text)
+    assert all(c.passed for r in records for c in r.checks)
+    assert len(saturations.args) == 1
+    assert len(blowups.args) == 1
+    # The singular points of the affine chart are the common zeros of (y, x).
+    assert [tuple(map(str, args)) for args in zeros.args].count(("y", "x")) == 1
+
+
+def _outcome(session: Session, text: str):
+    """The last record of running text in session, as JSON, or the error."""
+    try:
+        return session.execute_text(text)[-1].to_json_obj()
+    except BrindexError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _assert_reuse_changes_nothing(text: str) -> None:
+    """Each compute line gives the same record, or the same error, in the
+    shared session as alone in a fresh one with the same bindings.  Line
+    numbers are kept by padding, so error texts compare as they are."""
+    lines = text.splitlines()
+    computes = [i for i, line in enumerate(lines) if line.strip().startswith("compute")]
+    shared = Session()
+    done = 0
+    for i in computes:
+        for j in range(done, i):  # bindings and comments since the last compute
+            shared.execute_text("\n" * j + lines[j])
+        done = i + 1
+        alone = "\n".join(
+            "" if j in computes and j != i else line for j, line in enumerate(lines[: i + 1])
+        )
+        assert _outcome(shared, "\n" * i + lines[i]) == _outcome(Session(), alone), lines[i]
+
+
+@pytest.mark.parametrize(
+    "text", [case.session for case in CASES] + [DEMO.read_text()],
+    ids=[case.id for case in CASES] + ["demo"],
+)
+def test_reuse_changes_no_record_of_a_corpus_session(text):
+    _assert_reuse_changes_nothing(text)
+
+
+@given(form=affine_forms())
+@with_form_examples
+def test_reuse_changes_no_record_of_a_random_form(form):
+    A, B = form
+    curves = {"L": "x + 2*y", "Q": "y - x^2 + 2*x*y", "K": "y^2 - x^3"}
+    text = "\n".join(
+        ["ring x, y", f"form w = ({A}) dx + ({B}) dy"]
+        + [f"curve {name} = {phi}" for name, phi in curves.items()]
+        + ["compute blowup w", "compute p2-check w"]
+        + [f"compute blowup-verify w {name}" for name in curves]
+        + [f"compute p2-check w {name}" for name in curves]
+        + ["compute tang w K", "compute invariants w K"]
+    )
+    _assert_reuse_changes_nothing(text)
+

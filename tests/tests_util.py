@@ -9,7 +9,6 @@ from fractions import Fraction
 from hypothesis import assume, example
 from hypothesis import strategies as st
 
-from brindex import elim
 from brindex.poly import MPoly, ring
 
 
@@ -50,22 +49,24 @@ def affine_forms(draw) -> tuple[MPoly, MPoly]:
     return A, B
 
 
-class SaturateSpy:
-    """Counts ``saturate`` calls, in every module that imported it, with the
-    names of the functions on the stack of each call."""
+class CallSpy:
+    """Records each call of ``brindex.<home>.<name>``, in every module that
+    imported it: its arguments, and the names of the functions on its stack."""
 
-    def __init__(self, monkeypatch):
+    def __init__(self, monkeypatch, home: str, name: str):
+        self.args: list[tuple] = []
         self.stacks: list[set[str]] = []
-        original = elim.saturate
+        original = getattr(importlib.import_module(f"brindex.{home}"), name)
 
-        def spy(*polys):
+        def spy(*args):
+            self.args.append(args)
             self.stacks.append({frame.name for frame in traceback.extract_stack()})
-            return original(*polys)
+            return original(*args)
 
-        for name in ("elim", "foliation", "invariants", "projective"):
-            module = importlib.import_module(f"brindex.{name}")
-            if getattr(module, "saturate", None) is original:
-                monkeypatch.setattr(module, "saturate", spy)
+        for module in ("elim", "foliation", "invariants", "projective", "session"):
+            mod = importlib.import_module(f"brindex.{module}")
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, spy)
 
     def calls_under(self, *functions: str) -> int:
         return sum(1 for names in self.stacks if names.intersection(functions))
