@@ -357,7 +357,7 @@ def run_identity_sweep(n: int = 25, seed: int = _SWEEP_SEED) -> ResultRecord:
         checked = [
             (LocalIdeal.make(R2, [A, B]), pair.mu0_omega),
             (X.tjurina_ideal(), pair.tau0),
-            (trivial_evaluation_ideal(omega, X), pair.trivial),
+            (trivial_evaluation_ideal(omega, X, pair.wedge), pair.trivial),
         ]
         agreed = all(colength_oracle_auto(I, cap=cap) == value for I, value in checked)
         if agreed:

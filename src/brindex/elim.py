@@ -775,6 +775,11 @@ def rational_common_zeros(
         raise ValueError("rational_common_zeros expects two bivariate polynomials")
     if f.is_zero or g.is_zero:
         raise ValueError("zero polynomial in common-zero computation")
+    if not any(e[1] for e, _ in f.terms()) and not any(e[1] for e, _ in g.terms()):
+        # Neither involves y, so the resultant is 1 whatever f and g share.
+        if poly_gcd(f, g).total_degree() > 0:
+            raise ComputationError("polynomials share a factor; zero set is not finite")
+        return []
     res = resultant(f, g, 1)
     if res.is_zero:
         raise ComputationError("polynomials share a factor; zero set is not finite")

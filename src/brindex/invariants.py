@@ -153,12 +153,17 @@ def intersection_mult(f: MPoly, g: MPoly) -> int | float:
     return colength(LocalIdeal.make(f.ring, [f, g]))
 
 
-def is_invariant(omega: OneForm, X: HypersurfaceGerm) -> bool:
+def is_invariant(omega: OneForm, X: HypersurfaceGerm, wedge: dict | None = None) -> bool:
     """True when omega ∧ dphi vanishes on X, i.e. phi divides every
-    coefficient of the wedge; then X is invariant by the foliation of omega."""
+    coefficient of the wedge; then X is invariant by the foliation of omega.
+
+    Here and below, ``wedge`` is ``wedge_coeffs(omega, X.phi)`` when the
+    caller already holds it."""
     if omega.ring != X.ring:
         raise ValueError("form and hypersurface live in different rings")
-    for c in wedge_coeffs(omega, X.phi).values():
+    if wedge is None:
+        wedge = wedge_coeffs(omega, X.phi)
+    for c in wedge.values():
         if c.is_zero:
             continue
         if exact_divide(c, X.phi) is None:
@@ -166,11 +171,13 @@ def is_invariant(omega: OneForm, X: HypersurfaceGerm) -> bool:
     return True
 
 
-def gsv_ideal(omega: OneForm, X: HypersurfaceGerm) -> LocalIdeal:
-    return LocalIdeal.make(X.ring, [X.phi, *wedge_coeffs(omega, X.phi).values()])
+def gsv_ideal(omega: OneForm, X: HypersurfaceGerm, wedge: dict | None = None) -> LocalIdeal:
+    if wedge is None:
+        wedge = wedge_coeffs(omega, X.phi)
+    return LocalIdeal.make(X.ring, [X.phi, *wedge.values()])
 
 
-def gsv_hyp(omega: OneForm, X: HypersurfaceGerm) -> int | float:
+def gsv_hyp(omega: OneForm, X: HypersurfaceGerm, wedge: dict | None = None) -> int | float:
     """GSV index of omega along the hypersurface.
 
     Infinite exactly when some branch of X is invariant (non-isolated
@@ -178,7 +185,7 @@ def gsv_hyp(omega: OneForm, X: HypersurfaceGerm) -> int | float:
     """
     if omega.ring != X.ring:
         raise ValueError("form and hypersurface live in different rings")
-    return colength(gsv_ideal(omega, X))
+    return colength(gsv_ideal(omega, X, wedge))
 
 
 def gsv_icis(omega: OneForm, fs: Sequence[MPoly]) -> int | float:
@@ -200,12 +207,14 @@ def gsv_icis(omega: OneForm, fs: Sequence[MPoly]) -> int | float:
     return colength(LocalIdeal.make(ring_, list(fs) + mm))
 
 
-def trivial_evaluation_ideal(omega: OneForm, X: HypersurfaceGerm) -> LocalIdeal:
+def trivial_evaluation_ideal(
+    omega: OneForm, X: HypersurfaceGerm, wedge: dict | None = None
+) -> LocalIdeal:
     """omega evaluated on the tangent fields that exist for every X:
     phi * d_i and the Hamiltonian fields phi_{x_j} d_k - phi_{x_k} d_j."""
-    gens = [X.phi * a for a in omega.coeffs]
-    gens += wedge_coeffs(omega, X.phi).values()
-    return LocalIdeal.make(X.ring, gens)
+    if wedge is None:
+        wedge = wedge_coeffs(omega, X.phi)
+    return LocalIdeal.make(X.ring, [*(X.phi * a for a in omega.coeffs), *wedge.values()])
 
 
 def bruce_roberts_user_theta(
@@ -292,10 +301,10 @@ _REJECT = {
 
 class LocalPair:
     """A (form, hypersurface) pair at the origin.  mu0(omega), mu0(X), tau0(X),
-    GSV(omega, X), the trivial-evaluation colength, the invariance test and
-    the saturation are each computed at most once; every invariant is a
-    difference of them and raises the typed error of the first base quantity
-    it needs that fails, checked in a fixed order."""
+    omega ∧ dphi, GSV(omega, X), the trivial-evaluation colength, the
+    invariance test and the saturation are each computed at most once; every
+    invariant is a difference of them and raises the typed error of the first
+    base quantity it needs that fails, checked in a fixed order."""
 
     def __init__(self, omega: OneForm, X: HypersurfaceGerm):
         self.omega = omega
@@ -304,13 +313,16 @@ class LocalPair:
     mu0_omega = cached_property(lambda self: milnor_form(self.omega))
     mu0_X = cached_property(lambda self: milnor_hyp(self.X))
     tau0 = cached_property(lambda self: tjurina(self.X))
-    gsv = cached_property(lambda self: gsv_hyp(self.omega, self.X))
+    # omega ∧ dphi, computed once: the invariance test reads it, and the GSV
+    # and trivial-evaluation ideals take its coefficients as generators.
+    wedge = cached_property(lambda self: wedge_coeffs(self.omega, self.X.phi))
+    gsv = cached_property(lambda self: gsv_hyp(self.omega, self.X, self.wedge))
     # The colength of an ideal independent of the GSV ideal, so the two
     # Bruce-Roberts routes stay an independent check of each other.
     trivial = cached_property(
-        lambda self: colength(trivial_evaluation_ideal(self.omega, self.X))
+        lambda self: colength(trivial_evaluation_ideal(self.omega, self.X, self.wedge))
     )
-    invariant = cached_property(lambda self: is_invariant(self.omega, self.X))
+    invariant = cached_property(lambda self: is_invariant(self.omega, self.X, self.wedge))
 
     @cached_property
     def saturation(self) -> tuple["LocalPair", int | float]:

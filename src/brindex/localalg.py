@@ -11,15 +11,13 @@ and makes reductions to zero cheap.  The pair loop applies the same
 highest-corner criterion (Mora; Greuel-Pfister, 1.7): a pair whose lcm lies
 past the corner is never formed.
 
-The reduction core works on packed exponents (Monagan-Pearce): variable i
-sits in the F-bit field at bit i*F (F = _FIELD_BITS = 32) and the total
-degree in the field above all of them, so integer order is the local order,
-a monomial product is one addition and a quotient one subtraction.  The top
-bit of every field is a guard bit, zero in every packed exponent; with G the
-mask of all guard bits, x^a divides x^b exactly when ((b | G) - a) & G == G,
-and the lcm takes each field from the operand whose guard survives
-(a | G) - b.  Exponents are packed once per `colength` call and unpacked only
-for `_staircase`.  A degree of 2^(F-1) or more does not fit: `colength` then
+The reduction core works on the packed exponents that `MPoly` stores (the
+layout, `poly._Packer`, is described in the ``poly`` module docstring):
+integer order is the local order, a monomial product is one addition and a
+quotient one subtraction, divisibility is the guard-bit test, and the lcm
+takes each field from the operand whose guard survives (a | G) - b.  The
+generators' terms are read as stored, and exponents are unpacked only for
+`_staircase`.  A degree of 2^(F-1) or more does not fit: `colength` then
 raises ResourceLimitError rather than return a value.
 
 In two variables `colength` reads the staircase of I + m^b for b = 8, 16, 32,
@@ -56,7 +54,7 @@ from typing import Iterable, Sequence
 from .config import get_limits
 from .elim import coprime_at_origin
 from .errors import ResourceLimitError
-from .poly import Exp, MPoly, Ring, local_key
+from .poly import Exp, MPoly, Ring, _Packer, _packer, local_key
 
 INFINITY = math.inf
 
@@ -99,68 +97,15 @@ class _Budget:
             )
 
 
-# -- packed exponents (layout in the module docstring) --------------------------
-# The degree check runs wherever a polynomial or record could reach 2^(F-1):
-# on packing, on each s-polynomial and on each reduction step.
-
-_FIELD_BITS = 32
-
-
-class _Packer:
-    """The packed layout for exponents of n variables, with F = _FIELD_BITS."""
-
-    __slots__ = ("n", "bits", "shift", "guards", "ones", "limit")
-
-    def __init__(self, n: int):
-        self.n, self.bits = n, _FIELD_BITS
-        self.shift = n * self.bits  # the degree field
-        units = sum(1 << (i * self.bits) for i in range(n + 1))
-        self.guards = units << (self.bits - 1)
-        self.ones = units - (1 << self.shift)  # 1 in every variable field
-        self.limit = 1 << (self.shift + self.bits - 1)  # degree 2^(F-1)
-
-    def check(self, packed: int) -> None:
-        if packed >= self.limit:
-            raise ResourceLimitError(
-                f"an exponent of degree {packed >> self.shift} does not fit "
-                f"the packed {self.bits}-bit fields"
-            )
-
-    def pack(self, e: Exp) -> int:
-        packed = sum(e) << self.shift
-        for i, k in enumerate(e):
-            packed |= k << (i * self.bits)
-        self.check(packed)
-        return packed
-
-    def unpack(self, packed: int) -> Exp:
-        low = (1 << (self.bits - 1)) - 1
-        return tuple(packed >> (i * self.bits) & low for i in range(self.n))
-
-    def lcm(self, a: int, b: int) -> int:
-        take_a = ((a | self.guards) - b) & self.guards  # guards where a_i >= b_i
-        take_a -= take_a >> (self.bits - 1)  # ... widened to the field below
-        fields = ((a & take_a) | (b & ~take_a)) & ((1 << self.shift) - 1)
-        degree = (fields * self.ones) >> (self.shift - self.bits)
-        return fields | (degree & ((1 << self.bits) - 1)) << self.shift
-
-
-_PACKERS: dict[int, _Packer] = {}
-
-
-def _packer(n: int) -> _Packer:
-    packer = _PACKERS.get(n)
-    if packer is None:
-        packer = _PACKERS[n] = _Packer(n)
-    return packer
-
-
 # -- integer reduction core ---------------------------------------------------
 # Working polynomials are plain dict[packed exponent, int] with content 1 and
 # positive leading coefficient.  Reduction steps are pseudo-reductions
 # (cross-multiply by leading coefficients, then strip the content), so no
 # Fraction arithmetic happens at all: the colength needs only the leading
 # exponents.  Reductors are carried as (terms, leading exponent, ecart) records.
+# The generators' exponents fit the layout since their MPoly was built; the
+# degree check runs wherever a record could outgrow it: on each s-polynomial
+# and on each reduction step.
 
 
 def _int_strip(d: dict) -> dict:
@@ -176,9 +121,9 @@ def _int_strip(d: dict) -> dict:
     return d
 
 
-def _int_from_poly(f: MPoly, packer: _Packer) -> dict:
-    terms, _ = f.integer_terms()
-    return _int_strip({packer.pack(e): c for e, c in terms})
+def _int_from_poly(f: MPoly) -> dict:
+    terms, _ = f._integer_packed()
+    return _int_strip(dict(terms))
 
 
 def _int_record(d: dict, packer: _Packer) -> tuple:
@@ -361,7 +306,7 @@ def colength(ideal: LocalIdeal) -> int | float:
         return int(min(g.order() for g in ideal.gens))
     budget = _Budget(get_limits().max_reduction_steps)
     packer = _packer(ideal.ring.n)
-    gens = [_int_record(_int_from_poly(g, packer), packer) for g in ideal.gens]
+    gens = [_int_record(_int_from_poly(g), packer) for g in ideal.gens]
     if ideal.ring.n == 2:
         bound = 8
         while bound <= _BOUND_CAP:
@@ -411,22 +356,25 @@ def _integer_terms(g: MPoly) -> list[tuple[Exp, int]]:
     The oracle keeps this copy of ``MPoly.integer_terms`` because it shares no
     code with the standard-basis route it checks.
     """
-    den = functools.reduce(math.lcm, (c.denominator for _, c in g.terms()), 1)
-    return [(e, c.numerator * (den // c.denominator)) for e, c in g.terms()]
+    terms = list(g.terms())
+    den = functools.reduce(math.lcm, (c.denominator for _, c in terms), 1)
+    return [(e, c.numerator * (den // c.denominator)) for e, c in terms]
 
 
-def _pivot_columns(ideal: LocalIdeal, monomials: list[Exp], bound: int) -> set[int]:
+def _pivot_columns(
+    gens: list[list[tuple[Exp, int]]], monomials: list[Exp], bound: int
+) -> set[int]:
     """Pivot columns of the echelon form of the truncated generator multiples.
 
-    Columns follow `monomials` (ascending degree); a row's pivot is its lowest
-    column, and rows are reduced over Z by cross-multiplication with the pivot
-    row's leading coefficient, then divided by their content.
+    ``gens`` holds the `_integer_terms` of each generator.  Columns follow
+    `monomials` (ascending degree); a row's pivot is its lowest column, and
+    rows are reduced over Z by cross-multiplication with the pivot row's
+    leading coefficient, then divided by their content.
     """
     col = {e: i for i, e in enumerate(monomials)}
     pivots: dict[int, dict[int, int]] = {}
-    for g in ideal.gens:
-        terms = _integer_terms(g)
-        g_ord = g.order()
+    for terms in gens:
+        g_ord = min(sum(e) for e, _ in terms)
         for m in monomials:
             if sum(m) + g_ord >= bound:
                 break
@@ -454,6 +402,15 @@ def _pivot_columns(ideal: LocalIdeal, monomials: list[Exp], bound: int) -> set[i
     return set(pivots)
 
 
+def _oracle_at(ring_: Ring, gens: list, bound: int) -> int | None:
+    """`colength_oracle` on the `_integer_terms` of the generators."""
+    monomials = _monomials_below(ring_, bound)
+    pivots = _pivot_columns(gens, monomials, bound)
+    if all(i in pivots for i, e in enumerate(monomials) if sum(e) == bound - 1):
+        return len(monomials) - len(pivots)
+    return None
+
+
 def colength_oracle(ideal: LocalIdeal, bound: int) -> int | None:
     """Truncated-dimension route to the colength.
 
@@ -465,18 +422,15 @@ def colength_oracle(ideal: LocalIdeal, bound: int) -> int | None:
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
-    monomials = _monomials_below(ideal.ring, bound)
-    pivots = _pivot_columns(ideal, monomials, bound)
-    if all(i in pivots for i, e in enumerate(monomials) if sum(e) == bound - 1):
-        return len(monomials) - len(pivots)
-    return None
+    return _oracle_at(ideal.ring, [_integer_terms(g) for g in ideal.gens], bound)
 
 
 def colength_oracle_auto(ideal: LocalIdeal, start: int = 4, cap: int = 64) -> int:
     """Raise the oracle bound until the dimension stabilizes."""
+    gens = [_integer_terms(g) for g in ideal.gens]
     bound = max(start, 2)
     while bound <= cap:
-        value = colength_oracle(ideal, bound)
+        value = _oracle_at(ideal.ring, gens, bound)
         if value is not None:
             return value
         bound += 2

@@ -10,15 +10,20 @@ Grammar (whitespace insensitive, no implicit multiplication):
 
 A 1-form is written coefficient-wise:  EXPR dVAR (('+'|'-') EXPR dVAR)*,
 e.g. ``z dx + x dy + y dz``.  The marker ``dVAR`` must name a ring variable.
+
+Values are term dicts {packed exponent: coefficient} in the layout of
+``poly.MPoly``, kept free of zero coefficients, so sums, products and powers
+are dict operations with int exponent additions; a single-term base raised to
+a power is one term.  Each expression (each form coefficient) becomes one
+MPoly at its end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ExprParseError
-from .poly import MPoly, OneForm, Ring
+from .poly import MPoly, OneForm, Ring, _from_dict, _packer
 
 # Deepest parenthesis nesting accepted; each level costs a few interpreter
 # frames, and this keeps the parser well inside the default recursion limit.
@@ -30,11 +35,13 @@ MAX_NESTING = 100
 MAX_DEGREE = 1000
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str  # INT NAME OP END
-    text: str
-    pos: int
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int):
+        self.kind = kind  # INT NAME OP END
+        self.text = text
+        self.pos = pos
 
 
 _OPS = set("+-*^/()")
@@ -84,10 +91,66 @@ def _check_degree(degree: int, pos: int) -> None:
         raise ExprParseError(f"degree {degree} exceeds the cap {MAX_DEGREE}", pos)
 
 
+def _poly(ring: Ring, f: dict) -> MPoly:
+    """The MPoly of a term dict.  MAX_DEGREE keeps every exponent inside the
+    packed layout; the layout's own check runs once, on the highest term."""
+    if f:
+        _packer(ring.n).check(max(f))
+    return _from_dict(ring, f)
+
+
+def _degree(f: dict, shift: int) -> int:
+    """Total degree of a term dict; -1 for zero."""
+    return max(f) >> shift if f else -1
+
+
+def _add_into(f: dict, g: dict, sign: int) -> dict:
+    """f + sign * g, reusing f, which the caller owns."""
+    for k, c in g.items():
+        v = f.get(k, 0) + c if sign > 0 else f.get(k, 0) - c
+        if v:
+            f[k] = v
+        else:
+            del f[k]
+    return f
+
+
+def _mul(f: dict, g: dict) -> dict:
+    if len(f) > len(g):
+        f, g = g, f
+    if len(f) == 1:
+        ((k1, c1),) = f.items()
+        return {k1 + k2: c1 * c2 for k2, c2 in g.items()}
+    acc: dict = {}
+    for k1, c1 in f.items():
+        for k2, c2 in g.items():
+            k = k1 + k2
+            acc[k] = acc.get(k, 0) + c1 * c2
+    return {k: c for k, c in acc.items() if c}
+
+
+def _pow(f: dict, exponent: int) -> dict:
+    if exponent == 0:
+        return {0: 1}
+    if len(f) == 1:  # a single term: one term again
+        ((k, c),) = f.items()
+        return {k * exponent: c**exponent}
+    result = {0: 1}
+    while exponent:
+        if exponent & 1:
+            result = _mul(result, f)
+        exponent >>= 1
+        if exponent:
+            f = _mul(f, f)
+    return result
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token], ring: Ring):
         self.tokens = tokens
         self.ring = ring
+        packer = _packer(ring.n)
+        self.units, self.shift = packer.units, packer.shift
         self.i = 0
         self.depth = 0
 
@@ -105,7 +168,7 @@ class _Parser:
             raise ExprParseError(f"expected {op!r}", tok.pos)
         return self.advance()
 
-    def expr(self) -> MPoly:
+    def expr(self) -> dict:
         sign = 1
         tok = self.peek()
         if tok.kind == "OP" and tok.text in "+-":
@@ -113,29 +176,30 @@ class _Parser:
             sign = -1 if tok.text == "-" else 1
         result = self.term()
         if sign < 0:
-            result = -result
+            result = {k: -c for k, c in result.items()}
         while True:
             tok = self.peek()
             if tok.kind == "OP" and tok.text in "+-":
                 self.advance()
-                rhs = self.term()
-                result = result - rhs if tok.text == "-" else result + rhs
+                result = _add_into(result, self.term(), -1 if tok.text == "-" else 1)
             else:
                 return result
 
-    def term(self) -> MPoly:
+    def term(self) -> dict:
         result = self.factor()
         while True:
             tok = self.peek()
             if tok.kind == "OP" and tok.text == "*":
                 self.advance()
                 rhs = self.factor()
-                _check_degree(result.total_degree() + rhs.total_degree(), tok.pos)
-                result = result * rhs
+                _check_degree(
+                    _degree(result, self.shift) + _degree(rhs, self.shift), tok.pos
+                )
+                result = _mul(result, rhs)
             else:
                 return result
 
-    def factor(self) -> MPoly:
+    def factor(self) -> dict:
         base = self.base()
         tok = self.peek()
         if tok.kind == "OP" and tok.text == "^":
@@ -150,11 +214,11 @@ class _Parser:
                 raise ExprParseError(
                     f"exponent {exponent} exceeds the cap {MAX_DEGREE}", etok.pos
                 )
-            _check_degree(base.total_degree() * exponent, etok.pos)
-            return base ** exponent
+            _check_degree(_degree(base, self.shift) * exponent, etok.pos)
+            return _pow(base, exponent)
         return base
 
-    def base(self) -> MPoly:
+    def base(self) -> dict:
         tok = self.peek()
         if tok.kind == "INT":
             self.advance()
@@ -169,8 +233,8 @@ class _Parser:
                 den = _int(dtok)
                 if den == 0:
                     raise ExprParseError("zero denominator", dtok.pos)
-                return self.ring.constant(Fraction(num, den))
-            return self.ring.constant(num)
+                num = Fraction(num, den)
+            return {0: num} if num else {}
         if tok.kind == "NAME":
             if tok.text not in self.ring.names:
                 raise ExprParseError(
@@ -178,7 +242,7 @@ class _Parser:
                     tok.pos,
                 )
             self.advance()
-            return self.ring.var(tok.text)
+            return {self.units[self.ring.index(tok.text)]: 1}
         if tok.kind == "OP" and tok.text == "(":
             if self.depth == MAX_NESTING:
                 raise ExprParseError(
@@ -201,14 +265,14 @@ def parse_poly(text: str, ring: Ring) -> MPoly:
     tok = parser.peek()
     if tok.kind != "END":
         raise ExprParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
-    return result
+    return _poly(ring, result)
 
 
 def parse_form(text: str, ring: Ring) -> OneForm:
     """Parse ``EXPR dVAR + EXPR dVAR + ...`` into a OneForm."""
     tokens = _lex(text)
     markers = {f"d{name}": i for i, name in enumerate(ring.names)}
-    coeffs = [ring.zero() for _ in range(ring.n)]
+    coeffs: list[dict] = [{} for _ in range(ring.n)]
     seg_start = 0
     seen_any = False
     k = 0
@@ -226,7 +290,7 @@ def parse_form(text: str, ring: Ring) -> OneForm:
                     f"unexpected input {end.text!r} in form coefficient", end.pos
                 )
             idx = markers[tok.text]
-            coeffs[idx] = coeffs[idx] + coeff
+            coeffs[idx] = _add_into(coeffs[idx], coeff, 1)
             seen_any = True
             nxt = tokens[k + 1]
             if nxt.kind == "OP" and nxt.text in "+-":
@@ -247,4 +311,4 @@ def parse_form(text: str, ring: Ring) -> OneForm:
         raise ExprParseError(
             "trailing input after the last dVAR component", tokens[seg_start].pos
         )
-    return OneForm(ring, tuple(coeffs))
+    return OneForm(ring, tuple(_poly(ring, c) for c in coeffs))

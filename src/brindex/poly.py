@@ -1,9 +1,23 @@
 """Sparse multivariate polynomials over exact rationals.
 
-Terms are kept as a tuple sorted by the module-wide local monomial order
-(negative degree refined by reverse lexicography), so the leading term of a
-germ at the origin, the one of *minimal* total degree, sits at index 0 and
-``1`` is the largest monomial.
+A term's exponent is stored packed into one int (Monagan-Pearce): variable i
+sits in the F-bit field at bit i*F (F = _FIELD_BITS = 32) and the total
+degree in the field above all of them.  Integer order is then the module-wide
+local monomial order (negative degree refined by reverse lexicography), so
+terms are kept as a tuple of (packed exponent, coefficient) pairs sorted by
+their int, the leading term of a germ at the origin, the one of *minimal*
+total degree, sits at index 0, and ``1`` (packed 0) is the largest monomial.
+A monomial product is one int addition, division by a monomial one
+subtraction.  The top bit of every field is a guard bit, zero in every packed
+exponent; with G the mask of all guard bits, x^a divides x^b exactly when
+((b | G) - a) & G == G.  A degree of 2^(F-1) or more does not fit: building
+such a polynomial raises ResourceLimitError.  `_Packer` holds this layout; the
+standard-basis engine in ``localalg`` works on the same packed ints.
+
+The public API speaks exponent tuples: the constructor ``MPoly(ring, {exp:
+coeff})``, ``terms()``, ``as_dict()``, ``coeff()``, ``leading_exp()`` and
+``integer_terms()`` pack or unpack at the boundary, and the constructor
+refuses an exponent of the wrong length or with a negative entry.
 
 A coefficient is stored as an ``int`` when it is integral and as a
 ``fractions.Fraction`` only when its denominator exceeds 1, so integer inputs
@@ -17,9 +31,12 @@ a float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
+
+from .errors import ResourceLimitError
 
 Exp = tuple[int, ...]
 Scalar = Fraction | int
@@ -31,12 +48,6 @@ def local_key(e: Exp):
     x^a > x^b  iff  deg a < deg b, or degrees tie and reversed(a) < reversed(b)
     lexicographically.  Compatible with multiplication, and 1 beats everything.
     """
-    return (sum(e), e[::-1])
-
-
-def _term_key(item: tuple[Exp, Scalar]):
-    """``local_key`` of a (exponent, coefficient) term."""
-    e = item[0]
     return (sum(e), e[::-1])
 
 
@@ -52,22 +63,72 @@ def _scalar(c) -> Scalar:
     raise TypeError(f"coefficient {c!r} is neither an int nor a Fraction")
 
 
-def global_key(e: Exp):
-    """Sort key for a degree-ascending global order (used by exact division)."""
-    return (-sum(e), e[::-1])
+# -- packed exponents (layout in the module docstring) --------------------------
+
+_FIELD_BITS = 32
 
 
-def monomial_divides(a: Exp, b: Exp) -> bool:
-    """True when x^a divides x^b."""
-    return all(ai <= bi for ai, bi in zip(a, b))
+class _Packer:
+    """The packed layout for exponents of n variables, with F = _FIELD_BITS."""
+
+    __slots__ = ("n", "bits", "shift", "guards", "ones", "limit", "units")
+
+    def __init__(self, n: int):
+        self.n, self.bits = n, _FIELD_BITS
+        self.shift = n * self.bits  # the degree field
+        units = sum(1 << (i * self.bits) for i in range(n + 1))
+        self.guards = units << (self.bits - 1)
+        self.ones = units - (1 << self.shift)  # 1 in every variable field
+        self.limit = 1 << (self.shift + self.bits - 1)  # degree 2^(F-1)
+        # The packed exponent of x_i: its field and the degree field.
+        self.units = tuple(1 << (i * self.bits) | 1 << self.shift for i in range(n))
+
+    def check(self, packed: int) -> None:
+        if packed >= self.limit:
+            raise ResourceLimitError(
+                f"an exponent of degree {packed >> self.shift} does not fit "
+                f"the packed {self.bits}-bit fields"
+            )
+
+    def pack(self, e: Exp) -> int:
+        if len(e) != self.n or min(e, default=0) < 0:
+            raise ValueError(f"bad exponent {e} for {self.n} variables")
+        packed = sum(map(operator.mul, e, self.units))
+        self.check(packed)
+        return packed
+
+    def unpack(self, packed: int) -> Exp:
+        low = (1 << (self.bits - 1)) - 1
+        return tuple(packed >> at & low for at in range(0, self.shift, self.bits))
+
+    def unpack_terms(self, terms) -> list[tuple[Exp, Scalar]]:
+        """(exponent tuple, coefficient) pairs of packed terms, in their order.
+        Unrolled for two and three variables, where it runs hot."""
+        bits, low = self.bits, (1 << (self.bits - 1)) - 1
+        if self.n == 2:
+            return [((k & low, k >> bits & low), c) for k, c in terms]
+        if self.n == 3:
+            bits2 = 2 * bits
+            return [((k & low, k >> bits & low, k >> bits2 & low), c) for k, c in terms]
+        unpack = self.unpack
+        return [(unpack(k), c) for k, c in terms]
+
+    def lcm(self, a: int, b: int) -> int:
+        take_a = ((a | self.guards) - b) & self.guards  # guards where a_i >= b_i
+        take_a -= take_a >> (self.bits - 1)  # ... widened to the field below
+        fields = ((a & take_a) | (b & ~take_a)) & ((1 << self.shift) - 1)
+        degree = (fields * self.ones) >> (self.shift - self.bits)
+        return fields | (degree & ((1 << self.bits) - 1)) << self.shift
 
 
-def exp_sub(a: Exp, b: Exp) -> Exp:
-    return tuple(ai - bi for ai, bi in zip(a, b))
+_PACKERS: dict[int, _Packer] = {}
 
 
-def exp_add(a: Exp, b: Exp) -> Exp:
-    return tuple(ai + bi for ai, bi in zip(a, b))
+def _packer(n: int) -> _Packer:
+    packer = _PACKERS.get(n)
+    if packer is None:
+        packer = _PACKERS[n] = _Packer(n)
+    return packer
 
 
 @dataclass(frozen=True)
@@ -75,16 +136,14 @@ class Ring:
     """A polynomial ring identified by its ordered variable names."""
 
     names: tuple[str, ...]
+    n: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.names)) != len(self.names):
             raise ValueError(f"duplicate variable names: {self.names}")
         if not self.names:
             raise ValueError("a ring needs at least one variable")
-
-    @property
-    def n(self) -> int:
-        return len(self.names)
+        object.__setattr__(self, "n", len(self.names))
 
     def index(self, name: str) -> int:
         try:
@@ -93,24 +152,20 @@ class Ring:
             raise KeyError(f"unknown variable {name!r} in ring {self.names}") from None
 
     def zero(self) -> "MPoly":
-        return MPoly(self, {})
+        return _wrap(self, ())
 
     def one(self) -> "MPoly":
-        return self.constant(1)
+        return _wrap(self, ((0, 1),))
 
     def constant(self, c: Scalar) -> "MPoly":
         c = _scalar(c)
-        if c == 0:
-            return self.zero()
-        return MPoly(self, {(0,) * self.n: c})
+        return _wrap(self, ((0, c),) if c else ())
 
     def var(self, which: int | str) -> "MPoly":
         i = which if isinstance(which, int) else self.index(which)
         if not 0 <= i < self.n:
             raise IndexError(f"variable index {i} out of range for {self.names}")
-        e = [0] * self.n
-        e[i] = 1
-        return MPoly(self, {tuple(e): 1})
+        return _wrap(self, ((_packer(self.n).units[i], 1),))
 
     def monomial(self, exp: Exp, coeff: Scalar = 1) -> "MPoly":
         if len(exp) != self.n or any(k < 0 for k in exp):
@@ -133,28 +188,22 @@ def ring(*names: str) -> Ring:
 class MPoly:
     """Immutable sparse polynomial.
 
-    ``_terms`` is a tuple of (exponent, coefficient) pairs sorted ascending by
-    ``local_key``, i.e. the local leading term first.  Zero coefficients never
-    appear, and every coefficient is canonical (see ``_scalar``).
+    ``_terms`` is a tuple of (packed exponent, coefficient) pairs sorted
+    ascending by the packed int, i.e. the local leading term first.  Zero
+    coefficients never appear, and every coefficient is canonical (see
+    ``_scalar``).
     """
 
     __slots__ = ("ring", "_terms")
 
     def __init__(self, ring: Ring, terms: dict):
+        pack = _packer(ring.n).pack
         cleaned = [
-            (e, c if type(c) is int else _scalar(c)) for e, c in terms.items() if c
+            (pack(e), c if type(c) is int else _scalar(c)) for e, c in terms.items() if c
         ]
-        cleaned.sort(key=_term_key)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "_terms", tuple(cleaned))
-
-    @classmethod
-    def _from_sorted(cls, ring: Ring, terms: tuple) -> "MPoly":
-        """Trusted constructor: ``terms`` already canonical."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "_terms", terms)
-        return self
+        cleaned.sort()  # the keys are distinct ints: coefficients never compared
+        self.ring = ring
+        self._terms = tuple(cleaned)
 
     # -- structure ---------------------------------------------------------
 
@@ -166,35 +215,41 @@ class MPoly:
         return not self._terms
 
     def terms(self) -> Iterator[tuple[Exp, Scalar]]:
-        return iter(self._terms)
+        return iter(_packer(self.ring.n).unpack_terms(self._terms))
 
     def as_dict(self) -> dict:
-        return dict(self._terms)
+        return dict(_packer(self.ring.n).unpack_terms(self._terms))
 
-    def integer_terms(self) -> tuple[tuple[tuple[Exp, int], ...], int]:
-        """The (exponent, int) terms of den * self, and den > 0, the lcm of the
-        coefficient denominators: the same polynomial up to a unit, over Z."""
+    def _integer_packed(self) -> tuple[tuple[tuple[int, int], ...], int]:
+        """``integer_terms`` with the exponents left packed."""
         terms = self._terms
         if all(type(c) is int for _, c in terms):
             return terms, 1
         den = math.lcm(*(c.denominator for _, c in terms))
-        return tuple((e, c.numerator * (den // c.denominator)) for e, c in terms), den
+        return tuple((k, c.numerator * (den // c.denominator)) for k, c in terms), den
+
+    def integer_terms(self) -> tuple[list[tuple[Exp, int]], int]:
+        """The (exponent, int) terms of den * self, and den > 0, the lcm of the
+        coefficient denominators: the same polynomial up to a unit, over Z."""
+        terms, den = self._integer_packed()
+        return _packer(self.ring.n).unpack_terms(terms), den
 
     def coeff(self, exp: Exp) -> Scalar:
-        for e, c in self._terms:
-            if e == exp:
+        packed = _packer(self.ring.n).pack(exp)
+        for k, c in self._terms:
+            if k == packed:
                 return c
         return 0
 
     def constant_term(self) -> Scalar:
-        zero = (0,) * self.ring.n
-        return self.coeff(zero)
+        terms = self._terms
+        return terms[0][1] if terms and terms[0][0] == 0 else 0
 
     def leading_exp(self) -> Exp:
         """Exponent of the local leading term (minimal total degree)."""
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")
-        return self._terms[0][0]
+        return _packer(self.ring.n).unpack(self._terms[0][0])
 
     def leading_coeff(self) -> Scalar:
         if not self._terms:
@@ -205,13 +260,13 @@ class MPoly:
         """Maximal total degree of a term; -1 for the zero polynomial."""
         if not self._terms:
             return -1
-        return max(sum(e) for e, _ in self._terms)
+        return self._terms[-1][0] >> _packer(self.ring.n).shift
 
     def order(self) -> int | float:
         """Minimal total degree of a term; +infinity for the zero polynomial."""
         if not self._terms:
             return math.inf
-        return sum(self._terms[0][0])
+        return self._terms[0][0] >> _packer(self.ring.n).shift
 
     def ecart(self) -> int:
         """total_degree - order; the classical measure of local inhomogeneity."""
@@ -227,9 +282,8 @@ class MPoly:
         out = []
         i = j = 0
         while i < len(a) and j < len(b):
-            ea, ca = a[i]
-            eb, cb = b[j]
-            ka, kb = local_key(ea), local_key(eb)
+            ka, ca = a[i]
+            kb, cb = b[j]
             if ka < kb:
                 out.append(a[i])
                 i += 1
@@ -239,12 +293,12 @@ class MPoly:
             else:
                 c = ca + cb
                 if c:
-                    out.append((ea, c if type(c) is int else _scalar(c)))
+                    out.append((ka, c if type(c) is int else _scalar(c)))
                 i += 1
                 j += 1
         out.extend(a[i:])
         out.extend(b[j:])
-        return MPoly._from_sorted(self.ring, tuple(out))
+        return _wrap(self.ring, tuple(out))
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -255,48 +309,62 @@ class MPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly._from_sorted(
-            self.ring, tuple((e, -c) for e, c in self._terms)
-        )
+        return _wrap(self.ring, tuple([(k, -c) for k, c in self._terms]))
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._merge_add((-other)._terms)
+        return self._merge_add(tuple([(k, -c) for k, c in other._terms]))
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other._merge_add((-self)._terms)
+        return other._merge_add(tuple([(k, -c) for k, c in self._terms]))
 
     def mono_mul(self, exp: Exp, coeff: Scalar) -> "MPoly":
         """Multiply by coeff * x^exp.  Preserves canonical term order."""
-        coeff = _scalar(coeff)
-        if coeff == 0:
-            return self.ring.zero()
-        return MPoly._from_sorted(
+        return self._shift(_packer(self.ring.n).pack(exp), _scalar(coeff))
+
+    def _shift(self, packed: int, coeff: Scalar) -> "MPoly":
+        """Multiply by a canonical coeff times the packed monomial."""
+        terms = self._terms
+        if not coeff or not terms:
+            return _wrap(self.ring, ())
+        _packer(self.ring.n).check(terms[-1][0] + packed)
+        return _wrap(
             self.ring,
-            tuple((exp_add(e, exp), _scalar(c * coeff)) for e, c in self._terms),
+            tuple(
+                [
+                    (k + packed, p if type(p := c * coeff) is int else _scalar(p))
+                    for k, c in terms
+                ]
+            ),
         )
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.mono_mul((0,) * self.ring.n, other)
         if not isinstance(other, MPoly):
+            if isinstance(other, (int, Fraction)):
+                return self._shift(0, _scalar(other))
             return NotImplemented
-        if other.ring != self.ring:
+        ring_ = self.ring
+        if other.ring != ring_:
             raise ValueError("cannot multiply polynomials from different rings")
         if len(self._terms) > len(other._terms):
             self, other = other, self
+        a, b = self._terms, other._terms
+        if len(a) <= 1:
+            return other._shift(*a[0]) if a else self
+        _packer(ring_.n).check(a[-1][0] + b[-1][0])  # the product's top degree
         acc: dict = {}
-        for e1, c1 in self._terms:
-            for e2, c2 in other._terms:
-                e = exp_add(e1, e2)
-                c = acc.get(e)
-                acc[e] = c1 * c2 if c is None else c + c1 * c2
-        return MPoly(self.ring, acc)
+        get = acc.get
+        for k1, c1 in a:
+            for k2, c2 in b:
+                k = k1 + k2
+                c = get(k)
+                acc[k] = c1 * c2 if c is None else c + c1 * c2
+        return _from_dict(ring_, acc)
 
     __rmul__ = __mul__
 
@@ -338,18 +406,22 @@ class MPoly:
     # -- calculus and substitution -------------------------------------------
 
     def partial(self, which: int | str) -> "MPoly":
-        """Formal partial derivative with respect to one variable."""
+        """Formal partial derivative with respect to one variable.
+
+        Subtracting x_i's packed exponent from every term divisible by x_i
+        keeps their order, so the result needs no sort."""
         i = which if isinstance(which, int) else self.ring.index(which)
         if not 0 <= i < self.ring.n:
             raise IndexError(f"variable index {i} out of range")
-        acc: dict = {}
-        for e, c in self._terms:
-            if e[i] == 0:
-                continue
-            d = list(e)
-            d[i] -= 1
-            acc[tuple(d)] = c * e[i]
-        return MPoly(self.ring, acc)
+        packer = _packer(self.ring.n)
+        at, low, unit = i * packer.bits, (1 << packer.bits) - 1, packer.units[i]
+        out = []
+        for k, c in self._terms:
+            e = k >> at & low
+            if e:
+                c *= e
+                out.append((k - unit, c if type(c) is int else _scalar(c)))
+        return _wrap(self.ring, tuple(out))
 
     def subs(self, target: Ring, images: Sequence["MPoly"]) -> "MPoly":
         """Composite with x_i -> images[i]; images live in ``target``."""
@@ -365,21 +437,21 @@ class MPoly:
             return cache[k]
 
         acc: dict = {}
-        for e, c in self._terms:
+        for e, c in _packer(self.ring.n).unpack_terms(self._terms):
             term = one
             for i, k in enumerate(e):
                 if k:
                     term = power(i, k) if term is one else term * power(i, k)
             for te, tc in term._terms:
                 acc[te] = acc.get(te, 0) + c * tc
-        return MPoly(target, acc)
+        return _from_dict(target, acc)
 
     def eval_at(self, point: Sequence[Scalar]) -> Scalar:
         if len(point) != self.ring.n:
             raise ValueError("need one coordinate per variable")
         pt = [_scalar(c) for c in point]
         total = 0
-        for e, c in self._terms:
+        for e, c in _packer(self.ring.n).unpack_terms(self._terms):
             val = c
             for i, k in enumerate(e):
                 if k:
@@ -393,7 +465,7 @@ class MPoly:
         keep = 1 - which
         value = _scalar(value)
         acc: dict = {}
-        for e, c in self._terms:
+        for e, c in self.terms():
             out = (e[keep],)
             acc[out] = acc.get(out, 0) + c * value ** e[which]
         return MPoly(ring(self.ring.names[keep]), acc)
@@ -402,27 +474,38 @@ class MPoly:
         """Recenter: returns f(x + p), so the point p moves to the origin.
 
         Each term is expanded one variable at a time by the binomial theorem,
-        (x_i + p_i)^k = sum_j C(k, j) p_i^(k-j) x_i^j.
+        (x_i + p_i)^k = sum_j C(k, j) p_i^(k-j) x_i^j, on packed exponents.
         """
         if len(point) != self.ring.n:
             raise ValueError("need one coordinate per variable")
-        shifts = [_scalar(c) for c in point]
+        packer = _packer(self.ring.n)
+        low = (1 << packer.bits) - 1
+        # (field offset, x_i's packed exponent, p_i) of each nonzero shift
+        shifts = [
+            (i * packer.bits, packer.units[i], p)
+            for i, p in enumerate(map(_scalar, point))
+            if p
+        ]
+        weights: dict = {}  # (i's unit, k) -> [(packed x_i^j, C(k, j) p^(k-j))]
         acc: dict = {}
-        for e, c in self._terms:
-            expansion = {(): c}
-            for k, p in zip(e, shifts):
-                if not (k and p):
-                    expansion = {m + (k,): v for m, v in expansion.items()}
+        get = acc.get
+        for key, c in self._terms:
+            expansion = [(0, c)]
+            for at, unit, p in shifts:
+                k = key >> at & low
+                if not k:
                     continue
-                weights = [math.comb(k, j) * p ** (k - j) for j in range(k + 1)]
-                expansion = {
-                    m + (j,): v * w
-                    for m, v in expansion.items()
-                    for j, w in enumerate(weights)
-                }
-            for m, v in expansion.items():
-                acc[m] = acc.get(m, 0) + v
-        return MPoly(self.ring, acc)
+                key -= k * unit
+                w = weights.get((unit, k))
+                if w is None:
+                    w = weights[(unit, k)] = [
+                        (j * unit, math.comb(k, j) * p ** (k - j)) for j in range(k + 1)
+                    ]
+                expansion = [(m + u, v * x) for m, v in expansion for u, x in w]
+            for m, v in expansion:
+                m += key
+                acc[m] = get(m, 0) + v
+        return _from_dict(self.ring, acc)
 
     def homogenize(self, target: Ring, extra: int | str, degree: int | None = None) -> "MPoly":
         """Homogenize with the variable ``extra`` of ``target``.
@@ -436,7 +519,7 @@ class MPoly:
         if degree is None:
             degree = max(self.total_degree(), 0)
         acc: dict = {}
-        for e, c in self._terms:
+        for e, c in self.terms():
             d = sum(e)
             if d > degree:
                 raise ValueError("requested homogenization degree too small")
@@ -454,7 +537,7 @@ class MPoly:
         if len(keep_idx) != target.n:
             raise ValueError("kept variables must match the target ring")
         acc: dict = {}
-        for e, c in self._terms:
+        for e, c in self.terms():
             out = tuple(e[k] for k in keep_idx)
             acc[out] = acc.get(out, 0) + c
         return MPoly(target, acc)
@@ -465,7 +548,7 @@ class MPoly:
         if not self._terms:
             return "0"
         chunks = []
-        for e, c in self._terms:
+        for e, c in self.terms():
             mono = "*".join(
                 f"{name}^{k}" if k > 1 else name
                 for name, k in zip(self.ring.names, e)
@@ -486,31 +569,54 @@ class MPoly:
         return out
 
 
+_new_poly = object.__new__
+
+
+def _wrap(ring_: Ring, terms: tuple) -> MPoly:
+    """Trusted constructor: ``terms`` already canonical and sorted."""
+    f = _new_poly(MPoly)
+    f.ring = ring_
+    f._terms = terms
+    return f
+
+
+def _from_dict(ring_: Ring, terms: dict) -> MPoly:
+    """Trusted constructor from a dict of packed exponents that fit the layout:
+    drops zero coefficients, makes the rest canonical and sorts."""
+    cleaned = [(k, c if type(c) is int else _scalar(c)) for k, c in terms.items() if c]
+    cleaned.sort()
+    return _wrap(ring_, tuple(cleaned))
+
+
 def exact_divide(f: MPoly, g: MPoly) -> MPoly | None:
     """Return q with f == q*g in the polynomial ring, or None when g ∤ f.
 
-    Runs leading-term cancellation under a global (degree-descending) order,
-    which terminates unconditionally; exactness means zero remainder.
+    Runs leading-term cancellation under a global order (degree descending,
+    then ascending packed exponent), which terminates unconditionally;
+    exactness means zero remainder.
     """
     if f.ring != g.ring:
         raise ValueError("mixed rings in exact_divide")
     if g.is_zero:
         raise ValueError("division by the zero polynomial")
-    ring_ = f.ring
+    packer = _packer(f.ring.n)
+    shift, guards = packer.shift, packer.guards
+
+    def global_lead(terms):
+        return min(terms, key=lambda t: (-(t[0] >> shift), t[0]))
+
     quotient: dict = {}
     rem = f
-    g_terms = sorted(g._terms, key=lambda item: global_key(item[0]))
-    ge, gc = g_terms[0]
-    g_sorted = MPoly(ring_, dict(g_terms))
-    while not rem.is_zero:
-        re, rc = min(rem._terms, key=lambda item: global_key(item[0]))
-        if not monomial_divides(ge, re):
+    gk, gc = global_lead(g._terms)
+    while rem._terms:
+        rk, rc = global_lead(rem._terms)
+        if ((rk | guards) - gk) & guards != guards:
             return None
-        qe = exp_sub(re, ge)
-        qc = Fraction(rc) / gc
-        quotient[qe] = quotient.get(qe, 0) + qc
-        rem = rem - g_sorted.mono_mul(qe, qc)
-    return MPoly(ring_, quotient)
+        qk = rk - gk
+        qc = _scalar(Fraction(rc) / gc)
+        quotient[qk] = quotient.get(qk, 0) + qc
+        rem = rem - g._shift(qk, qc)
+    return _from_dict(f.ring, quotient)
 
 
 @dataclass(frozen=True)

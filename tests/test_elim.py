@@ -15,8 +15,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from brindex import elim
-from brindex.elim import poly_gcd, rational_roots, resultant
-from brindex.errors import IrrationalPointError
+from brindex.elim import poly_gcd, rational_common_zeros, rational_roots, resultant
+from brindex.errors import ComputationError, IrrationalPointError
 from brindex.poly import MPoly, ring
 
 RINGS = {1: ring("x"), 2: ring("x", "y"), 3: ring("x", "y", "z")}
@@ -125,6 +125,26 @@ def test_rational_roots_with_multiplicities():
     p = R1.parse("(2*x - 1)^3 * x^2 * (3*x + 7) * 5")
     assert rational_roots(p) == [(Fraction(-7, 3), 1), (Fraction(0), 2), (Fraction(1, 2), 3)]
     assert rational_roots(R1.constant(4)) == []
+
+
+@pytest.mark.parametrize(
+    "f, g, message",
+    [
+        ("x*(y - 1)", "x*(y + 2)", "share a vertical line of zeros"),
+        # Neither involves y: the resultant is 1, so the shared factor must be
+        # found by the gcd.
+        ("x", "-x", "share a factor; zero set is not finite"),
+        ("x^2 - 1", "3*x - 3", "share a factor; zero set is not finite"),
+    ],
+)
+def test_common_zeros_of_polynomials_sharing_a_factor(f, g, message):
+    with pytest.raises(ComputationError, match=message):
+        rational_common_zeros(R2.parse(f), R2.parse(g))
+
+
+def test_common_zeros_of_coprime_polynomials_free_of_y():
+    assert rational_common_zeros(R2.parse("x"), R2.parse("x + 1")) == []
+    assert rational_common_zeros(R2.parse("x^2 - 1"), R2.constant(2)) == []
 
 
 def test_gcd_is_normalized_at_the_local_leading_term():

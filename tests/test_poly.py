@@ -10,16 +10,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from brindex.elim import poly_gcd
-from brindex.errors import ExprParseError
+from brindex.errors import ExprParseError, ResourceLimitError
 from brindex.parsing import MAX_DEGREE, MAX_NESTING, parse_form, parse_poly
 from brindex.poly import (
     MPoly,
     OneForm,
     exact_divide,
-    exp_add,
-    exp_sub,
     local_key,
-    monomial_divides,
     ring,
     wedge_coeffs,
 )
@@ -119,20 +116,13 @@ def test_repr_parse_round_trip(f):
     assert R2.parse(repr(f)) == f
 
 
-# -- exponent helpers and the local order -------------------------------------
+# -- the local order ------------------------------------------------------------
 
 
 def test_local_order_ranks_by_degree_then_reversed():
     # Lower total degree always wins; ties break toward earlier variables.
     ranked = sorted([(0, 2), (2, 0), (1, 1), (0, 1), (1, 0), (0, 0)], key=local_key)
     assert ranked == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
-
-
-def test_exp_helpers():
-    assert exp_add((1, 2), (3, 0)) == (4, 2)
-    assert exp_sub((4, 2), (3, 0)) == (1, 2)
-    assert monomial_divides((1, 0), (2, 3))
-    assert not monomial_divides((1, 4), (2, 3))
 
 
 @given(polys2)
@@ -317,6 +307,243 @@ def test_canonical_pinned_cases():
         R2.constant(0.5)
     with pytest.raises(TypeError):
         MPoly(R2, {(1, 0): 0.5})
+
+
+# -- packed exponents against a tuple-exponent reference --------------------
+# The reference keeps a polynomial as a dict {exponent tuple: coefficient} with
+# no zero coefficients, the representation MPoly had before exponents were
+# packed; every operation below is computed both ways.
+
+
+def _ref_clean(d: dict) -> dict:
+    return {e: c for e, c in d.items() if c}
+
+
+def _ref_add(f: dict, g: dict, sign: int = 1) -> dict:
+    out = dict(f)
+    for e, c in g.items():
+        out[e] = out.get(e, 0) + sign * c
+    return _ref_clean(out)
+
+
+def _ref_mul(f: dict, g: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return _ref_clean(out)
+
+
+def _ref_pow(f: dict, k: int, n: int) -> dict:
+    out = {(0,) * n: 1}
+    for _ in range(k):
+        out = _ref_mul(out, f)
+    return out
+
+
+def _ref_partial(f: dict, i: int) -> dict:
+    return {
+        e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in f.items() if e[i]
+    }
+
+
+def _ref_subs(f: dict, images: list[dict], n: int) -> dict:
+    out: dict = {}
+    for e, c in f.items():
+        term = {(0,) * n: c}
+        for img, k in zip(images, e):
+            term = _ref_mul(term, _ref_pow(img, k, n))
+        out = _ref_add(out, term)
+    return out
+
+
+def _ref_repr(f: dict, names) -> str:
+    chunks = []
+    for e in sorted(f, key=local_key):
+        c = f[e]
+        mono = "*".join(
+            name if k == 1 else f"{name}^{k}" for name, k in zip(names, e) if k
+        )
+        body = mono if mono and abs(c) == 1 else f"{abs(c)}*{mono}" if mono else str(abs(c))
+        chunks.append(("-" if c < 0 else "+", body))
+    if not chunks:
+        return "0"
+    text = ("-" if chunks[0][0] == "-" else "") + chunks[0][1]
+    return text + "".join(f" {sign} {body}" for sign, body in chunks[1:])
+
+
+def _ref_polys(n: int, max_exp: int, max_terms: int):
+    exp = st.tuples(*[st.integers(0, max_exp)] * n)
+    coeff = st.one_of(
+        st.integers(-4, 4), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    )
+    return st.dictionaries(exp, coeff, max_size=max_terms).map(
+        lambda d: {e: _scalar_of(c) for e, c in d.items() if c}
+    )
+
+
+def _scalar_of(c):
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _as_ref(f: MPoly) -> dict:
+    """The tuple-exponent dict of f, checking on the way that terms() lists
+    the exponents in local_key order."""
+    exps = [e for e, _ in f.terms()]
+    assert exps == sorted(exps, key=local_key)
+    return dict(f.terms())
+
+
+@pytest.mark.parametrize("ring_", [R2, R3], ids=["n2", "n3"])
+@given(data=st.data())
+def test_packed_arithmetic_matches_tuple_reference(ring_, data):
+    n = ring_.n
+    f = data.draw(_ref_polys(n, 3, 4), "f")
+    g = data.draw(_ref_polys(n, 2, 3), "g")
+    images = [data.draw(_ref_polys(n, 1, 3), f"image {i}") for i in range(n)]
+    point = data.draw(st.tuples(*[st.integers(-3, 3)] * n), "point")
+    k = data.draw(st.integers(0, 3), "k")
+    F, G = MPoly(ring_, f), MPoly(ring_, g)
+    assert _as_ref(F) == f and F.as_dict() == f
+    assert _as_ref(F + G) == _ref_add(f, g)
+    assert _as_ref(F - G) == _ref_add(f, g, -1)
+    assert _as_ref(F * G) == _ref_mul(f, g)
+    assert _as_ref(F**k) == _ref_pow(f, k, n)
+    for i in range(n):
+        assert _as_ref(F.partial(i)) == _ref_partial(f, i)
+    subs = F.subs(ring_, [MPoly(ring_, img) for img in images])
+    assert _as_ref(subs) == _ref_subs(f, images, n)
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    shifted = [{units[i]: 1, (0,) * n: p} if p else {units[i]: 1} for i, p in enumerate(point)]
+    assert _as_ref(F.translate(point)) == _ref_subs(f, shifted, n)
+    homog = ring(*ring_.names, "h")
+    if f:
+        degree = max(map(sum, f))
+        assert _as_ref(F.homogenize(homog, "h")) == {
+            e + (degree - sum(e),): c for e, c in f.items()
+        }
+    assert repr(F) == _ref_repr(f, ring_.names)
+    if f:
+        lead = min(f, key=local_key)
+        assert F.leading_exp() == lead and F.order() == sum(lead)
+        assert F.total_degree() == max(map(sum, f))
+    assert F.constant_term() == f.get((0,) * n, 0)
+    if g:
+        assert _as_ref(exact_divide(F * G, G)) == f
+        q = exact_divide(F, G)
+        if q is not None:
+            assert _ref_mul(_as_ref(q), g) == f
+
+
+def test_packed_degree_past_the_field_raises():
+    big = 2**30  # fits: the degree field holds degrees below 2^31
+    x_big = R2.monomial((big, 0))
+    assert x_big.total_degree() == big
+    with pytest.raises(ResourceLimitError, match="does not fit"):
+        x_big * x_big
+    with pytest.raises(ResourceLimitError, match="does not fit"):
+        (x_big + R2.var("y")) * (x_big + 1)
+    with pytest.raises(ResourceLimitError, match="does not fit"):
+        x_big**2
+    with pytest.raises(ResourceLimitError, match="does not fit"):
+        x_big.mono_mul((0, big), 1)
+    with pytest.raises(ResourceLimitError, match="does not fit"):
+        MPoly(R2, {(big, big): 1})  # each field fits, the degree does not
+    with pytest.raises(ResourceLimitError, match="does not fit"):
+        MPoly(R2, {(2**31, 0): 1})
+
+
+def test_packed_exponent_must_be_nonnegative_and_of_the_ring_length():
+    with pytest.raises(ValueError, match="bad exponent"):
+        MPoly(R2, {(-1, 2): 1})
+    with pytest.raises(ValueError, match="bad exponent"):
+        MPoly(R2, {(1,): 1})
+    with pytest.raises(ValueError, match="bad exponent"):
+        MPoly(R2, {(1, 0, 0): 1})
+    with pytest.raises(ValueError, match="bad exponent"):
+        R2.monomial((0, -1))
+
+
+# -- the parser against MPoly arithmetic ------------------------------------
+# Random expression trees are rendered to text and parsed; the parse must equal
+# the tree evaluated with MPoly arithmetic.  The renderer parenthesizes only
+# where the grammar needs it, so precedence and the leading sign are exercised.
+
+_SUM, _TERM, _POWER, _ATOM = range(4)
+
+
+def _trees(names):
+    leaves = st.one_of(
+        st.tuples(st.just("int"), st.integers(0, 12)),
+        st.tuples(st.just("frac"), st.integers(0, 12), st.integers(1, 5)),
+        st.tuples(st.just("var"), st.sampled_from(names)),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(st.sampled_from(["+", "-", "*"]), children, children),
+            st.tuples(st.just("^"), children, st.integers(0, 3)),
+            st.tuples(st.just("neg"), children),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+def _render(tree, space: str) -> tuple[str, int]:
+    """(text, precedence level) of a tree."""
+
+    def wrapped(child, level):
+        text, child_level = _render(child, space)
+        return text if child_level >= level else f"({text})"
+
+    kind = tree[0]
+    if kind == "int":
+        return str(tree[1]), _ATOM
+    if kind == "frac":
+        return f"{tree[1]}/{tree[2]}", _ATOM
+    if kind == "var":
+        return tree[1], _ATOM
+    if kind == "^":
+        return f"{wrapped(tree[1], _ATOM)}^{tree[2]}", _POWER
+    if kind == "neg":
+        return f"-{space}{wrapped(tree[1], _TERM)}", _SUM
+    if kind == "*":
+        return f"{wrapped(tree[1], _POWER)}{space}*{space}{wrapped(tree[2], _POWER)}", _TERM
+    left = wrapped(tree[1], _SUM)  # a leading sign may open a sum
+    return f"{left}{space}{kind}{space}{wrapped(tree[2], _TERM)}", _SUM
+
+
+def _evaluate(tree, ring_) -> MPoly:
+    kind = tree[0]
+    if kind == "int":
+        return ring_.constant(tree[1])
+    if kind == "frac":
+        return ring_.constant(Fraction(tree[1], tree[2]))
+    if kind == "var":
+        return ring_.var(tree[1])
+    if kind == "^":
+        return _evaluate(tree[1], ring_) ** tree[2]
+    if kind == "neg":
+        return -_evaluate(tree[1], ring_)
+    a, b = _evaluate(tree[1], ring_), _evaluate(tree[2], ring_)
+    return a + b if kind == "+" else a - b if kind == "-" else a * b
+
+
+@pytest.mark.parametrize("ring_", [R2, R3], ids=["n2", "n3"])
+@given(data=st.data())
+def test_parse_matches_mpoly_arithmetic_on_random_trees(ring_, data):
+    space = data.draw(st.sampled_from(["", " "]), "space")
+    trees = [data.draw(_trees(ring_.names), f"tree {i}") for i in range(3)]
+    texts = [_render(t, space)[0] for t in trees]
+    values = [_evaluate(t, ring_) for t in trees]
+    assert parse_poly(texts[0], ring_) == values[0], texts[0]
+    # A form: the first and third trees are both dx_0 components and add up.
+    first, second = ring_.names[0], ring_.names[1]
+    form_text = f"({texts[0]}) d{first} + ({texts[1]}) d{second} - ({texts[2]}) d{first}"
+    expected = [values[0] - values[2], values[1]] + [ring_.zero()] * (ring_.n - 2)
+    assert parse_form(form_text, ring_) == OneForm(ring_, tuple(expected)), form_text
 
 
 # -- 1-forms --------------------------------------------------------------------

@@ -159,6 +159,18 @@ def test_zeros_are_found_before_any_colength():
         reset_limits()
 
 
+def test_an_invariant_line_free_of_y_is_found_by_the_tangency_search():
+    # The tangent field -x d/dx + d/dy of 1 dx + x dy sends x to -x: the line
+    # x is invariant, and the affine tangency search says so before the local
+    # test at [0:1:0] is reached.
+    with pytest.raises(
+        InvariantCurveError,
+        match=r"^tangency locus is not finite: polynomials share a factor; "
+        r"zero set is not finite$",
+    ):
+        _check("1 dx + x dy", "x")
+
+
 def test_irrational_singularities_are_reported():
     # Singularities at y^2 = 2 do not have rational coordinates.
     with pytest.raises(IrrationalPointError):
