@@ -39,6 +39,9 @@ generators, lowest column first with the columns in ascending degree, and is
 used throughout the tests to cross-check the standard-basis route.  In that
 echelon form the rank on the columns of degree < b is the number of pivots of
 degree < b, so one elimination at the bound gives d(b) for every smaller b.
+The oracle codes monomials as integers of its own, whose order is the local
+order, so a row is built by adding codes; a row's content is divided out only
+when the row is stored as a pivot.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ import functools
 import heapq
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -325,22 +327,39 @@ def colength(ideal: LocalIdeal) -> int | float:
 
 
 # -- independent truncated linear-algebra route ------------------------------
+# The oracle codes a monomial of degree < b as one integer of its own: the
+# degree in the top field, then the exponents from the last variable to the
+# first, each field `_field_width(b)` bits wide.  Integer order is then the
+# local order and a product is one addition.  Generator terms of degree >= b
+# are dropped before coding, so every field of a coded term or multiplier is
+# below b, a sum of two fields stays below 2^width, and no field carries.
 
 
-def _monomials_below(ring_: Ring, bound: int) -> list[Exp]:
-    """All exponents of total degree < bound, sorted by the local order."""
-    out: list[Exp] = []
+def _field_width(bound: int) -> int:
+    """Bits per field of the oracle's code below degree ``bound``."""
+    return bound.bit_length() + 1
 
-    def rec(prefix: list[int], remaining: int, pos: int):
-        if pos == ring_.n - 1:
-            for k in range(remaining + 1):
-                out.append(tuple(prefix + [k]))
+
+def _encode(e: Exp, width: int) -> int:
+    code = sum(e)
+    for k in reversed(e):
+        code = code << width | k
+    return code
+
+
+def _monomials_below(n: int, bound: int, width: int) -> list[int]:
+    """Codes of all monomials of degree < bound, in ascending order."""
+    out: list[int] = []
+
+    def rec(code: int, remaining: int, var: int):
+        if var == 0:
+            out.append(code + remaining)
             return
         for k in range(remaining + 1):
-            rec(prefix + [k], remaining - k, pos + 1)
+            rec(code + (k << var * width), remaining - k, var - 1)
 
-    rec([], bound - 1, 0)
-    out.sort(key=local_key)
+    for degree in range(bound):
+        rec(degree << n * width, degree, n - 1)
     return out
 
 
@@ -361,28 +380,27 @@ def _integer_terms(g: MPoly) -> list[tuple[Exp, int]]:
     return [(e, c.numerator * (den // c.denominator)) for e, c in terms]
 
 
-def _pivot_columns(
-    gens: list[list[tuple[Exp, int]]], monomials: list[Exp], bound: int
-) -> set[int]:
-    """Pivot columns of the echelon form of the truncated generator multiples.
+def _pivot_columns(n: int, gens: list[list[tuple[Exp, int]]], bound: int) -> set[int]:
+    """Pivot columns, as codes, of the echelon form of the generator multiples
+    truncated below degree ``bound``.
 
-    ``gens`` holds the `_integer_terms` of each generator.  Columns follow
-    `monomials` (ascending degree); a row's pivot is its lowest column, and
-    rows are reduced over Z by cross-multiplication with the pivot row's
-    leading coefficient, then divided by their content.
+    ``gens`` holds the `_integer_terms` of each generator.  Columns ascend in
+    code order; a row's pivot is its lowest column, and rows are reduced over
+    Z by cross-multiplication with the pivot row's leading coefficient.  The
+    content is divided out only when a row is stored as a pivot: scaling a
+    row moves neither its support nor its lowest column.
     """
-    col = {e: i for i, e in enumerate(monomials)}
+    width = _field_width(bound)
+    limit = bound << n * width
+    monomials = _monomials_below(n, bound, width)
     pivots: dict[int, dict[int, int]] = {}
     for terms in gens:
-        g_ord = min(sum(e) for e, _ in terms)
+        coded = [(_encode(e, width), c) for e, c in terms if sum(e) < bound]
+        low = min((e for e, _ in coded), default=limit)
         for m in monomials:
-            if sum(m) + g_ord >= bound:
+            if low + m >= limit:
                 break
-            row = {}
-            for e, c in terms:
-                prod = tuple(map(operator.add, e, m))
-                if prod in col:
-                    row[col[prod]] = c
+            row = {e + m: c for e, c in coded if e + m < limit}
             while row:
                 lead = min(row)
                 pivot = pivots.get(lead)
@@ -391,23 +409,23 @@ def _pivot_columns(
                     break
                 k = math.gcd(row[lead], pivot[lead])
                 mr, mp = pivot[lead] // k, row[lead] // k
-                row = {c: v * mr for c, v in row.items()} if mr != 1 else row
+                if mr != 1:
+                    row = {c: v * mr for c, v in row.items()}
                 for c, v in pivot.items():
                     nv = row.get(c, 0) - v * mp
                     if nv:
                         row[c] = nv
                     else:
-                        row.pop(c, None)
-                row = _content_free(row)
+                        del row[c]
     return set(pivots)
 
 
-def _oracle_at(ring_: Ring, gens: list, bound: int) -> int | None:
+def _oracle_at(n: int, gens: list, bound: int) -> int | None:
     """`colength_oracle` on the `_integer_terms` of the generators."""
-    monomials = _monomials_below(ring_, bound)
-    pivots = _pivot_columns(gens, monomials, bound)
-    if all(i in pivots for i, e in enumerate(monomials) if sum(e) == bound - 1):
-        return len(monomials) - len(pivots)
+    pivots = _pivot_columns(n, gens, bound)
+    top = (bound - 1) << n * _field_width(bound)
+    if sum(p >= top for p in pivots) == math.comb(n + bound - 2, n - 1):
+        return math.comb(n + bound - 1, n) - len(pivots)
     return None
 
 
@@ -422,7 +440,7 @@ def colength_oracle(ideal: LocalIdeal, bound: int) -> int | None:
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
-    return _oracle_at(ideal.ring, [_integer_terms(g) for g in ideal.gens], bound)
+    return _oracle_at(ideal.ring.n, [_integer_terms(g) for g in ideal.gens], bound)
 
 
 def colength_oracle_auto(ideal: LocalIdeal, start: int = 4, cap: int = 64) -> int:
@@ -430,7 +448,7 @@ def colength_oracle_auto(ideal: LocalIdeal, start: int = 4, cap: int = 64) -> in
     gens = [_integer_terms(g) for g in ideal.gens]
     bound = max(start, 2)
     while bound <= cap:
-        value = _oracle_at(ideal.ring, gens, bound)
+        value = _oracle_at(ideal.ring.n, gens, bound)
         if value is not None:
             return value
         bound += 2

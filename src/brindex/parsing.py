@@ -20,6 +20,7 @@ MPoly at its end.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import ExprParseError
@@ -33,6 +34,12 @@ MAX_NESTING = 100
 # the power or product is formed, so an exponent like x^99999999999 is
 # rejected at once instead of exhausting memory.
 MAX_DEGREE = 1000
+
+# Most terms a product may have.  The check runs before the product is formed
+# and counts len(f) * len(g), capped by the number of monomials of the
+# product's degree or less: the degree cap alone admits (x + y + 1)^1000, whose
+# half a million terms would take hours to form.
+MAX_TERMS = 5000
 
 
 class _Token:
@@ -115,7 +122,16 @@ def _add_into(f: dict, g: dict, sign: int) -> dict:
     return f
 
 
-def _mul(f: dict, g: dict) -> dict:
+def _mul(f: dict, g: dict, n: int, shift: int, pos: int) -> dict:
+    """f * g in ``n`` variables; raises at ``pos`` past MAX_TERMS terms."""
+    if len(f) * len(g) > MAX_TERMS:  # both nonempty, so the degree is >= 0
+        size = math.comb(n + _degree(f, shift) + _degree(g, shift), n)
+        if size > MAX_TERMS:
+            raise ExprParseError(
+                f"product of up to {min(len(f) * len(g), size)} terms "
+                f"exceeds the cap {MAX_TERMS}",
+                pos,
+            )
     if len(f) > len(g):
         f, g = g, f
     if len(f) == 1:
@@ -129,7 +145,7 @@ def _mul(f: dict, g: dict) -> dict:
     return {k: c for k, c in acc.items() if c}
 
 
-def _pow(f: dict, exponent: int) -> dict:
+def _pow(f: dict, exponent: int, n: int, shift: int, pos: int) -> dict:
     if exponent == 0:
         return {0: 1}
     if len(f) == 1:  # a single term: one term again
@@ -138,10 +154,10 @@ def _pow(f: dict, exponent: int) -> dict:
     result = {0: 1}
     while exponent:
         if exponent & 1:
-            result = _mul(result, f)
+            result = _mul(result, f, n, shift, pos)
         exponent >>= 1
         if exponent:
-            f = _mul(f, f)
+            f = _mul(f, f, n, shift, pos)
     return result
 
 
@@ -195,7 +211,7 @@ class _Parser:
                 _check_degree(
                     _degree(result, self.shift) + _degree(rhs, self.shift), tok.pos
                 )
-                result = _mul(result, rhs)
+                result = _mul(result, rhs, self.ring.n, self.shift, tok.pos)
             else:
                 return result
 
@@ -215,7 +231,7 @@ class _Parser:
                     f"exponent {exponent} exceeds the cap {MAX_DEGREE}", etok.pos
                 )
             _check_degree(_degree(base, self.shift) * exponent, etok.pos)
-            return _pow(base, exponent)
+            return _pow(base, exponent, self.ring.n, self.shift, tok.pos)
         return base
 
     def base(self) -> dict:

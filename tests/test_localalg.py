@@ -20,10 +20,10 @@ from brindex.localalg import (
     INFINITY,
     LocalIdeal,
     _Budget,
+    _field_width,
     _int_from_poly,
     _int_record,
     _integer_terms,
-    _monomials_below,
     _pivot_columns,
     _staircase,
     _staircase_of,
@@ -382,11 +382,14 @@ def test_oracle_dimensions_match_sympy(ring_, max_bound, data):
     I = data.draw(_ideals(ring_))
     bound = data.draw(st.integers(2, max_bound))
     expected = _sympy_dims(I, bound)
-    # Every d(b), b <= bound, from the pivots of the one elimination at bound.
-    monomials = _monomials_below(I.ring, bound)
-    pivots = _pivot_columns([_integer_terms(g) for g in I.gens], monomials, bound)
+    # Every d(b), b <= bound, from the degrees of the pivot codes of the one
+    # elimination at bound: the degree is the code's top field.
+    n = ring_.n
+    shift = n * _field_width(bound)
+    pivots = _pivot_columns(n, [_integer_terms(g) for g in I.gens], bound)
+    degrees = [p >> shift for p in pivots]
     dims = [
-        sum(sum(e) < b for e in monomials) - sum(sum(monomials[i]) < b for i in pivots)
+        math.comb(n + b - 1, n) - sum(d < b for d in degrees)
         for b in range(1, bound + 1)
     ]
     assert dims == expected
@@ -394,6 +397,71 @@ def test_oracle_dimensions_match_sympy(ring_, max_bound, data):
     for b in range(2, bound + 1):
         top_full = expected[b - 2] == expected[b - 1]
         assert colength_oracle(I, b) == (expected[b - 1] if top_full else None)
+
+
+def _content_free(row: dict) -> dict:
+    g = math.gcd(*row.values())
+    return {c: v // g for c, v in row.items()}
+
+
+def _tuple_pivots(I: LocalIdeal, bound: int) -> set[tuple[int, ...]]:
+    """The oracle's elimination on exponent tuples, with the content divided
+    out after every row operation: the reference for the coded pivots."""
+    monomials = sorted(
+        (e for e in itertools.product(range(bound), repeat=I.ring.n) if sum(e) < bound),
+        key=local_key,
+    )
+    col = {e: i for i, e in enumerate(monomials)}
+    pivots: dict[int, dict] = {}
+    for g in I.gens:
+        terms, _ = g.integer_terms()
+        g_ord = min(sum(e) for e, _ in terms)
+        for m in monomials:
+            if sum(m) + g_ord >= bound:
+                break
+            row = {}
+            for e, c in terms:
+                prod = tuple(map(operator.add, e, m))
+                if prod in col:
+                    row[col[prod]] = c
+            while row:
+                lead = min(row)
+                pivot = pivots.get(lead)
+                if pivot is None:
+                    pivots[lead] = _content_free(row)
+                    break
+                k = math.gcd(row[lead], pivot[lead])
+                mr, mp = pivot[lead] // k, row[lead] // k
+                row = {c: v * mr for c, v in row.items()}
+                for c, v in pivot.items():
+                    row[c] = row.get(c, 0) - v * mp
+                row = {c: v for c, v in row.items() if v}
+                if row:
+                    row = _content_free(row)
+    return {monomials[i] for i in pivots}
+
+
+@pytest.mark.parametrize("ring_, max_bound", [(R2, 8), (R3, 5)], ids=["n2", "n3"])
+@given(data=st.data())
+def test_oracle_pivots_match_a_tuple_reference(ring_, max_bound, data):
+    I = data.draw(_ideals(ring_))
+    bound = data.draw(st.integers(2, max_bound))
+    n, width = ring_.n, _field_width(bound)
+    decoded = set()
+    for code in _pivot_columns(n, [_integer_terms(g) for g in I.gens], bound):
+        e = tuple(code >> i * width & (1 << width) - 1 for i in range(n))
+        assert code >> n * width == sum(e)
+        decoded.add(e)
+    assert decoded == _tuple_pivots(I, bound)
+
+
+def test_oracle_exponent_past_the_code_field():
+    # y^70000 fills no field of the code: a generator term of degree >= the
+    # bound is dropped before coding, so no field carries into the next.
+    f = MPoly(R2, {(2, 0): 1, (0, 70000): 1})
+    I = LocalIdeal.make(R2, [f, MPoly(R2, {(0, 3): 1})])
+    assert colength_oracle_auto(I) == 6
+    assert colength_oracle(I, 8) == 6
 
 
 # -- minors -----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from brindex.elim import poly_gcd
 from brindex.errors import ExprParseError, ResourceLimitError
-from brindex.parsing import MAX_DEGREE, MAX_NESTING, parse_form, parse_poly
+from brindex.parsing import MAX_DEGREE, MAX_NESTING, MAX_TERMS, parse_form, parse_poly
 from brindex.poly import (
     MPoly,
     OneForm,
@@ -101,6 +102,27 @@ def test_parse_accepts_degree_up_to_the_cap():
     assert parse_poly("x^1000", R2).total_degree() == 1000
     assert parse_poly("x^500*y^500", R2).total_degree() == 1000
     assert parse_form("x^1000 dx", R2).coeffs[0].total_degree() == 1000
+
+
+@pytest.mark.parametrize(
+    "text,position",
+    [("(x + y + 1)^1000", 11), ("(x + y + 1)^60*(x + y + 1)^60", 14)],
+)
+def test_parse_caps_the_term_count_of_a_product(text, position):
+    # The degree cap admits both, but forming them would take from seconds
+    # to hours; the term cap refuses them at the operator.
+    start = time.perf_counter()
+    with pytest.raises(ExprParseError) as exc:
+        parse_poly(text, R2)
+    assert time.perf_counter() - start < 1
+    assert exc.value.position == position
+
+
+def test_parse_term_cap_counts_monomials_not_term_pairs():
+    assert MAX_TERMS == 5000
+    assert len(parse_poly("(x + y + 1)^40", R2).as_dict()) == 861
+    # 501 * 501 term pairs, but only 1001 monomials of degree <= 1000.
+    assert len(parse_poly("(x + 1)^1000", ring("x")).as_dict()) == 1001
 
 
 def test_parse_form():
