@@ -16,10 +16,11 @@ Three conventions show in the output:
 * ``poly_gcd`` scales the gcd so that its local leading coefficient is 1;
 * ``resultant(f, g)`` is the Sylvester determinant Res(f, g) when
   deg f >= deg g and Res(g, f), with no sign correction, otherwise;
-* an ``IrrationalPointError`` from ``rational_roots`` names the first
-  irreducible factor of degree >= 2 in the order (degree, multiplicity,
-  coefficients from the leading one), primitive with a positive leading
-  coefficient, written like ``2*x**3 - 3*x**2 - 18*x - 25``.
+* an ``IrrationalPointError`` from ``rational_roots`` names the squarefree
+  cofactor: the squarefree part of what is left once the rational roots are
+  divided out, so its roots are exactly the roots outside Q.  It is
+  primitive with a positive leading coefficient, written like
+  ``2*x**3 - 3*x**2 - 18*x - 25``.
 
 Before the primitive PRS, ``poly_gcd`` tries to certify a coprime pair by
 modular images: for each variable x_i that occurs in both f and g it maps
@@ -31,16 +32,13 @@ method).  Otherwise the PRS decides, so the test never changes an answer.
 References: Geddes, Czapor and Labahn, *Algorithms for Computer Algebra*,
 ch. 7 (primitive PRS gcd) and 9 (resultants); Brown, "On Euclid's algorithm
 and the computation of polynomial greatest common divisors" (J. ACM 18,
-1971) (modular gcd images); von zur Gathen and Gerhard,
-*Modern Computer Algebra*, ch. 14 and 15 (Berlekamp, Hensel lifting and
-factor recombination); Loos, "Computing rational zeros of integral
+1971) (modular gcd images); Loos, "Computing rational zeros of integral
 polynomials by p-adic expansion" (SIAM J. Comput. 1983).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 
 from .errors import ComputationError, IrrationalPointError
@@ -440,28 +438,18 @@ def _det(m: list[list], level: int):
 # -- polynomials over Z/m -------------------------------------------------------
 
 
-def _pmul(a: list, b: list, m: int) -> list:
-    return _strip([c % m for c in _mul(a, b, 1)])
-
-
-def _psub(a: list, b: list, m: int) -> list:
-    return _strip([c % m for c in _sub(a, b, 1)])
-
-
-def _pdivmod(a: list, b: list, m: int) -> tuple[list, list]:
-    """Division with remainder mod m; lc(b) must be a unit mod m."""
+def _pmod(a: list, b: list, m: int) -> list:
+    """The remainder of a by b mod m; lc(b) must be a unit mod m."""
     a = _strip([c % m for c in a])
     db = len(b) - 1
     inv = pow(b[-1], -1, m)
-    q = [0] * max(len(a) - db, 0)
     while len(a) > db:
         s = len(a) - 1 - db
         c = a[-1] * inv % m
-        q[s] = c
         for i, y in enumerate(b):
             a[s + i] = (a[s + i] - c * y) % m
         _strip(a)
-    return q, a
+    return a
 
 
 def _monic(a: list, m: int) -> list:
@@ -473,32 +461,8 @@ def _pgcd(a: list, b: list, p: int) -> list:
     """The monic gcd mod the prime p; [] when both vanish mod p."""
     a, b = _strip([c % p for c in a]), _strip([c % p for c in b])
     while b:
-        a, b = b, _pdivmod(a, b, p)[1]
+        a, b = b, _pmod(a, b, p)
     return _monic(a, p) if a else []
-
-
-def _pgcdex(a: list, b: list, p: int) -> tuple[list, list, list]:
-    """(g, s, t) with s*a + t*b = g, the monic gcd mod the prime p."""
-    r0, s0, t0 = _strip([c % p for c in a]), [1], []
-    r1, s1, t1 = _strip([c % p for c in b]), [], [1]
-    while r1:
-        q, r = _pdivmod(r0, r1, p)
-        r0, s0, t0, r1, s1, t1 = (
-            r1, s1, t1, r, _psub(s0, _pmul(q, s1, p), p), _psub(t0, _pmul(q, t1, p), p)
-        )
-    inv = pow(r0[-1], -1, p)
-    return [c * inv % p for c in r0], [c * inv % p for c in s0], [c * inv % p for c in t0]
-
-
-def _ppowmod(a: list, e: int, u: list, m: int) -> list:
-    """a^e mod (u, m)."""
-    out, a = [1], _pdivmod(a, u, m)[1]
-    while e:
-        if e & 1:
-            out = _pdivmod(_pmul(out, a, m), u, m)[1]
-        a = _pdivmod(_pmul(a, a, m), u, m)[1]
-        e >>= 1
-    return out
 
 
 def _eval_mod(a: list, x: int, m: int) -> int:
@@ -563,8 +527,8 @@ def rational_roots(p: MPoly) -> list[tuple[Fraction, int]]:
     """All roots of a univariate polynomial, which must be rational.
 
     Returns (root, multiplicity) pairs sorted by root.  Raises
-    IrrationalPointError when a factor of degree >= 2 irreducible over Q
-    remains, i.e. when some root is irrational or complex.
+    IrrationalPointError when some root is irrational or complex; its text
+    names the squarefree polynomial whose roots are exactly those.
     """
     if p.ring.n != 1:
         raise ValueError("rational_roots expects a univariate polynomial")
@@ -585,7 +549,7 @@ def rational_roots(p: MPoly) -> list[tuple[Fraction, int]]:
             k, f = _multiplicity(f, [-root.numerator, root.denominator])
             out.append((root, k))
     if len(f) > 1:
-        factor = _render(_message_factor(f), p.ring.names[0])
+        factor = _render(_squarefree_part(f), p.ring.names[0])
         raise IrrationalPointError(f"polynomial {p!r} has a root not in Q (factor {factor})")
     out.sort(key=lambda item: item[0])
     return out
@@ -596,152 +560,6 @@ def common_rational_roots(a: MPoly, b: MPoly) -> list[Fraction]:
     IrrationalPointError unless all are rational."""
     h = b if a.is_zero else a if b.is_zero else poly_gcd(a, b)
     return [] if h.total_degree() == 0 else [r for r, _ in rational_roots(h)]
-
-
-# -- factors without rational roots ----------------------------------------------
-
-
-def _message_factor(f: list) -> list:
-    """The least irreducible factor of f, a primitive polynomial with positive
-    leading coefficient and no rational root, in the order (degree,
-    multiplicity, coefficients from the leading one)."""
-    keys = []
-    for g in _irreducible_factors(_squarefree_part(f)):
-        keys.append((len(g), _multiplicity(f, g)[0], g[::-1]))
-    return min(keys)[2][::-1]
-
-
-def _irreducible_factors(f: list) -> list[list]:
-    """Irreducible factors over Z of a primitive squarefree f with positive
-    leading coefficient and no rational root (Zassenhaus)."""
-    if len(f) <= 4:
-        return [f]  # degree <= 3 and no linear factor
-    p = _good_prime(f)
-    modular = _berlekamp(_monic(f, p), p)
-    if len(modular) == 1:
-        return [f]
-    # A factor g of f has coefficients at most 2^deg f * |f|_1 (Mignotte), and
-    # the recombined candidate is (lc f / lc g) * g.
-    bound = 2 * f[-1] * 2 ** (len(f) - 1) * sum(abs(c) for c in f)
-    m = p
-    while m <= bound:
-        m *= m
-    return _recombine(f, _hensel_lift(f, modular, p, m), m)
-
-
-def _berlekamp(u: list, p: int) -> list[list]:
-    """Monic irreducible factors of a monic squarefree u mod the prime p."""
-    d = len(u) - 1
-    xp = _ppowmod([0, 1], p, u, p)
-    rows = [[1]]
-    for _ in range(d - 1):
-        rows.append(_pdivmod(_pmul(rows[-1], xp, p), u, p)[1])
-    # v is in the Berlekamp subalgebra iff sum_i v_i (x^(p i) - x^i) = 0 mod u.
-    system = [
-        [((rows[i][j] if j < len(rows[i]) else 0) - (i == j)) % p for i in range(d)]
-        for j in range(d)
-    ]
-    basis = _nullspace(system, p)
-    factors = [u]
-    for v in basis:
-        if len(factors) == len(basis):
-            break
-        split = []
-        for h in factors:
-            for s in range(p):
-                if len(h) <= 2:
-                    break
-                g = _pgcd(h, [v[0] - s] + v[1:], p)
-                if 1 < len(g) < len(h):
-                    split.append(g)
-                    h = _pdivmod(h, g, p)[0]
-            split.append(h)
-        factors = split
-    return factors
-
-
-def _nullspace(a: list[list], p: int) -> list[list]:
-    """A basis of {v : a v = 0} over Z/p, by reduced row echelon form."""
-    rows = [list(r) for r in a]
-    n = len(rows[0])
-    pivots: list[int] = []
-    for col in range(n):
-        rank = len(pivots)
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [x * inv % p for x in rows[rank]]
-        for i, row in enumerate(rows):
-            if i != rank and row[col]:
-                c = row[col]
-                rows[i] = [(x - c * y) % p for x, y in zip(row, rows[rank])]
-        pivots.append(col)
-    basis = []
-    for free in (c for c in range(n) if c not in pivots):
-        v = [0] * n
-        v[free] = 1
-        for r, col in enumerate(pivots):
-            v[col] = -rows[r][free] % p
-        basis.append(v)
-    return basis
-
-
-def _hensel_lift(f: list, factors: list[list], p: int, m: int) -> list[list]:
-    """Lift f = lc(f) * prod(factors) mod p, the factors monic and pairwise
-    coprime, to monic factors mod m = p^(2^j)."""
-    if len(factors) == 1:
-        return [_monic(f, m)]
-    half = len(factors) // 2
-    g = [f[-1] % p]
-    for u in factors[:half]:
-        g = _pmul(g, u, p)
-    h = [1]
-    for u in factors[half:]:
-        h = _pmul(h, u, p)
-    _, s, t = _pgcdex(g, h, p)
-    q = p
-    while q < m:
-        g, h, s, t, q = _hensel_step(f, g, h, s, t, q)
-    return _hensel_lift(g, factors[:half], p, m) + _hensel_lift(h, factors[half:], p, m)
-
-
-def _hensel_step(f, g, h, s, t, m):
-    """From f = g h and s g + t h = 1 mod m, h monic, the same mod m^2."""
-    mm = m * m
-    e = _psub(f, _mul(g, h, 1), mm)
-    q, r = _pdivmod(_pmul(s, e, mm), h, mm)
-    g = _strip([c % mm for c in _add(g, _add(_mul(t, e, 1), _mul(q, g, 1), 1), 1)])
-    h = _strip([c % mm for c in _add(h, r, 1)])
-    b = _psub(_add(_mul(s, g, 1), _mul(t, h, 1), 1), [1], mm)
-    c, d = _pdivmod(_pmul(s, b, mm), h, mm)
-    s = _psub(s, d, mm)
-    t = _psub(t, _add(_mul(t, b, 1), _mul(c, g, 1), 1), mm)
-    return g, h, s, t, mm
-
-
-def _recombine(f: list, lifted: list[list], m: int) -> list[list]:
-    """True factors of f from its monic factors mod m, by trial division of
-    subset products in increasing size."""
-    out = []
-    size = 1
-    while 2 * size <= len(lifted):
-        for subset in combinations(range(len(lifted)), size):
-            g = [f[-1]]
-            for i in subset:
-                g = _pmul(g, lifted[i], m)
-            g = _primitive([c - m if 2 * c > m else c for c in g], 1)
-            q = _quo(f, g, 1)
-            if q is not None:
-                out.append(g)
-                f = q
-                lifted = [u for i, u in enumerate(lifted) if i not in subset]
-                break
-        else:
-            size += 1
-    out.append(f)
-    return out
 
 
 def _render(coeffs: list, name: str) -> str:

@@ -106,7 +106,8 @@ T_RING = ring("t")
 
 @dataclass(frozen=True)
 class Parametrization:
-    """A polynomial map t -> (x_1(t), ..., x_n(t)) with all x_i(0) = 0."""
+    """A polynomial map t -> (x_1(t), ..., x_n(t)) with all x_i(0) = 0, not
+    every x_i zero."""
 
     components: tuple[MPoly, ...]
 
@@ -116,6 +117,8 @@ class Parametrization:
                 raise ValueError("parametrization components must be polynomials in t")
             if p.constant_term() != 0:
                 raise ValueError("parametrizations must pass through the origin")
+        if all(p.is_zero for p in self.components):
+            raise ValueError("the zero map parametrizes no branch")
 
     @property
     def n(self) -> int:
@@ -129,10 +132,7 @@ class Parametrization:
 
     def multiplicity(self) -> int:
         """min_i ord_t x_i(t); the multiplicity of the parametrized branch."""
-        orders = [p.order() for p in self.components if not p.is_zero]
-        if not orders:
-            raise ComputationError("zero parametrization has no multiplicity")
-        return int(min(orders))
+        return int(min(p.order() for p in self.components if not p.is_zero))
 
 
 def order_pullback(

@@ -237,6 +237,8 @@ class Session:
         comps = tuple(parse_poly(e, T_RING) for e in entries)
         if any(c.constant_term() != 0 for c in comps):
             raise SessionError("param must pass through the origin (x_i(0) = 0)", line)
+        if all(c.is_zero for c in comps):
+            raise SessionError("param must not be the zero map", line)
         return Parametrization(comps)
 
     # -- directives --------------------------------------------------------

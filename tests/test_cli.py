@@ -111,6 +111,7 @@ def test_resource_limit_exits_3(tmp_path, capsys):
         "ring x, y, z\nparam c = (t^2, t^5)\nform w = y dx + x dy + z dz\n"
         "compute pullback-order w c\n",
         "ring x, y\nparam c = (1 + t, t^5)\n",
+        "ring x, y\nparam c = (0, 0)\nform w = y dx + x dy\ncompute pullback-order w c\n",
         "ring x, y\ntheta T = [x]\ncurve X = y^2 - x^5\nform w = y dx + x dy\n"
         "compute br w X T\n",
         "ring x, y\ncurve X = " + "(" * 3000 + "x" + ")" * 3000 + "\n",
@@ -118,7 +119,7 @@ def test_resource_limit_exits_3(tmp_path, capsys):
         "ring x, y\nform w = (x^600*y^600) dx + x dy\n",
     ],
     ids=[
-        "param-width", "param-off-origin", "theta-width", "deep-nesting",
+        "param-width", "param-off-origin", "param-zero", "theta-width", "deep-nesting",
         "curve-degree", "form-degree",
     ],
 )

@@ -2,8 +2,9 @@
 
 sympy is a test dependency only.  The oracle tests import it on demand and
 are skipped without it; the pinned cases run everywhere.  The oracle for
-``rational_roots`` is the rule the error message follows: the first factor
-of degree >= 2 in ``factor_list`` order.
+``rational_roots`` names the cofactor the error message names: the product,
+each taken once, of the ``factor_list`` factors of degree >= 2, primitive
+with a positive leading coefficient.
 """
 
 from __future__ import annotations
@@ -46,14 +47,22 @@ def _from_sympy(p, ring_) -> MPoly:
 
 def _sympy_rational_roots(p: MPoly):
     """What rational_roots must return or raise, computed by sympy."""
-    _, factors = _to_sympy(p).factor_list()
+    poly = _to_sympy(p)
+    _, factors = poly.factor_list()
     out = []
+    cofactor = poly.one
     for fac, mult in factors:
         if fac.degree() >= 2:
-            return f"polynomial {p!r} has a root not in Q (factor {fac.as_expr()})"
+            cofactor *= fac
         if fac.degree() == 1:
             a, b = (Fraction(int(c.p), int(c.q)) for c in fac.all_coeffs())
             out.append((-b / a, int(mult)))
+    if cofactor.degree() > 0:
+        _, cofactor = cofactor.clear_denoms(convert=True)
+        _, cofactor = cofactor.primitive()
+        if cofactor.LC() < 0:
+            cofactor = -cofactor
+        return f"polynomial {p!r} has a root not in Q (factor {cofactor.as_expr()})"
     return sorted(out)
 
 
@@ -97,15 +106,16 @@ def univariate(degree: int):
 @pytest.mark.parametrize(
     "text, factor",
     [
-        ("(x^2 + 1)*(x^2 + 2)", "x**2 + 1"),
-        ("(x^2 + 1)^2*(x^2 + 3)", "x**2 + 3"),
-        ("(x^2 + 7)^2*(x^4 + 1)", "x**2 + 7"),
-        ("(x^2 + 2)*(3*x^2 + 1)", "x**2 + 2"),
+        ("(x^2 + 1)*(x^2 + 2)", "x**4 + 3*x**2 + 2"),
+        ("(x^2 + 1)^2*(x^2 + 3)", "x**4 + 4*x**2 + 3"),
+        ("(x^2 + 7)^2*(x^4 + 1)", "x**6 + 7*x**4 + x**2 + 7"),
+        ("(x^2 + 2)*(3*x^2 + 1)", "3*x**4 + 7*x**2 + 2"),
         ("(2*x - 1)^2*(2*x^3 - 3*x^2 - 18*x - 25)", "2*x**3 - 3*x**2 - 18*x - 25"),
         ("x*(x^4 - 12*x^3 + 8*x^2 + 91*x + 130)", "x**4 - 12*x**3 + 8*x**2 + 91*x + 130"),
+        ("(x^2 + 5)^3*(x - 1)", "x**2 + 5"),
     ],
 )
-def test_message_names_the_first_nonlinear_factor(text, factor):
+def test_message_names_the_squarefree_cofactor(text, factor):
     p = R1.parse(text)
     with pytest.raises(IrrationalPointError) as exc:
         rational_roots(p)
@@ -260,7 +270,7 @@ def test_rational_roots_match_sympy(roots, rest):
     ),
     scale=st.integers(1, 5),
 )
-def test_irrational_message_matches_factor_list(factors, scale):
+def test_irrational_message_matches_the_factor_list_cofactor(factors, scale):
     p = R1.constant(Fraction(1, scale))
     for f, k in factors:
         p = p * f**k

@@ -123,9 +123,12 @@ def test_intersection_mult_knowns():
 def test_parametrization_validation():
     with pytest.raises(ValueError):
         _param("1 + t", "t^2")  # must pass through 0
+    with pytest.raises(ValueError):
+        _param("0", "0")  # parametrizes no branch
     good = _param("t^2", "t^3")
     assert good.n == 2
     assert good.multiplicity() == 2
+    assert _param("t^2", "0").multiplicity() == 2  # one zero component is a line
 
 
 def test_lies_on_is_exact():

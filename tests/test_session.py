@@ -78,12 +78,19 @@ def test_comments_and_blank_lines_are_skipped():
         ("ring x, y\npoly f = x +", "expected a number"),
         ("ring x, y\ntheta T = [x, y", "theta"),
         ("ring x, y\nparam c = t^2, t^3", "param"),
+        ("ring x, y\nparam c = (0, 0)", "zero map"),
     ],
 )
 def test_malformed_sessions_raise(text, fragment):
     with pytest.raises(SessionError) as err:
         run_session_text(text)
     assert fragment.lower() in str(err.value).lower()
+
+
+def test_param_with_one_zero_component_is_valid():
+    text = "ring x, y\nparam c = (t^2, 0)\nform w = x dx + y dy\ncompute pullback-order w c"
+    (record,) = run_session_text(text)
+    assert record.values["order"] == 3
 
 
 def test_errors_carry_line_numbers():
