@@ -33,8 +33,6 @@ from .invariants import (
     intersection_mult,
     is_invariant,
     milnor_form,
-    milnor_hyp,
-    tjurina,
 )
 from .foliation import (
     Parametrization,

@@ -87,8 +87,7 @@ def main(argv=None) -> int:
                 return 1
             records = run_session_text(text)
             print(render_jsonl(records) if args.json else render_human(records))
-            failed = any(not c.passed for r in records for c in r.checks)
-            return 4 if failed else 0
+            return 0 if all(r.all_passed for r in records) else 4
 
         groups = run_corpus(args.filter, args.perturb)
         if args.json:

@@ -294,7 +294,7 @@ _SWEEP_SEED = 74207281
 
 @functools.cache
 def _pool_germs() -> tuple[HypersurfaceGerm, ...]:
-    # Frozen germs that cache nothing: reuse feeds no check another one's value.
+    # Process-wide germs: they keep mu0 and tau0, which the oracle checks anew.
     R2 = ring("x", "y")
     return tuple(HypersurfaceGerm(parse_poly(s, R2)) for s in _POOL_CURVES)
 

@@ -190,6 +190,31 @@ class BlowupResult:
     chart_xt: PlaneFoliation  # coordinates (x, t), divisor x = 0
     chart_uy: PlaneFoliation  # coordinates (u, y), divisor y = 0
 
+    @cached_property
+    def exceptional_singularities(self) -> tuple[tuple["ExceptionalPoint", int], ...]:
+        """Singular points of the strict transform on the divisor, with local
+        Milnor numbers.  All such points must be rational."""
+        F = self.chart_xt
+        a0, b0 = F.A.restrict(0), F.B.restrict(0)
+        if a0.is_zero and b0.is_zero:
+            raise ComputationError("strict transform vanishes on the divisor")
+        try:
+            roots = common_rational_roots(a0, b0)
+        except IrrationalPointError as exc:
+            raise IrrationalPointError(
+                f"irrational singularity on the exceptional divisor: {exc}"
+            ) from exc
+        points = [(ExceptionalPoint("xt", t0), F.translate((Fraction(0), t0))) for t0 in roots]
+        if self.chart_uy.is_singular_at_origin():
+            points.append((ExceptionalPoint("uy", Fraction(0)), self.chart_uy))
+        out = []
+        for p, fol in points:
+            mu = fol.milnor()
+            if mu == INFINITY:
+                raise NonIsolatedError("non-isolated singularity on the divisor")
+            out.append((p, int(mu)))
+        return tuple(out)
+
 
 def blowup(F: PlaneFoliation) -> BlowupResult:
     """The strict transform of F in both charts, saturated by construction.
@@ -258,31 +283,6 @@ class ExceptionalPoint:
     coord: Fraction  # t0 in chart "xt"; 0 in chart "uy"
 
 
-def exceptional_singularities(bl: BlowupResult) -> list[tuple[ExceptionalPoint, int]]:
-    """Singular points of the strict transform on the divisor, with local
-    Milnor numbers.  All such points must be rational."""
-    Fxt = bl.chart_xt
-    a0, b0 = Fxt.A.restrict(0), Fxt.B.restrict(0)
-    if a0.is_zero and b0.is_zero:
-        raise ComputationError("strict transform vanishes on the divisor")
-    try:
-        roots = common_rational_roots(a0, b0)
-    except IrrationalPointError as exc:
-        raise IrrationalPointError(
-            f"irrational singularity on the exceptional divisor: {exc}"
-        ) from exc
-    points = [(ExceptionalPoint("xt", t0), Fxt.translate((Fraction(0), t0))) for t0 in roots]
-    if bl.chart_uy.is_singular_at_origin():
-        points.append((ExceptionalPoint("uy", Fraction(0)), bl.chart_uy))
-    out = []
-    for p, fol in points:
-        mu = fol.milnor()
-        if mu == INFINITY:
-            raise NonIsolatedError("non-isolated singularity on the divisor")
-        out.append((p, int(mu)))
-    return out
-
-
 @dataclass(frozen=True)
 class CurveBlowup:
     """Strict transform of a plane curve germ under the quadratic blow-up."""
@@ -340,12 +340,12 @@ def strict_transform_curve(X: HypersurfaceGerm) -> CurveBlowup:
     )
 
 
-def delta_invariant_drop(origin: LocalPair, at_q: LocalPair, m: int) -> int:
+def delta_invariant_drop(X: HypersurfaceGerm, X_q: HypersurfaceGerm, m: int) -> int:
     """D = tau0(X) - tau_q(Xtilde) - m(m-1)/2 for a curve X of multiplicity m
-    (germ of ``origin``) and its strict transform Xtilde at q (germ of
-    ``at_q``), with the Milnor-number drop mu0(X) - mu_q(Xtilde) = m(m-1)
-    verified as a consistency check."""
-    mu0, mu_q = origin.mu0_X, at_q.mu0_X
+    and its strict transform Xtilde at q (the germ ``X_q``), with the
+    Milnor-number drop mu0(X) - mu_q(Xtilde) = m(m-1) verified as a
+    consistency check."""
+    mu0, mu_q = X.mu0, X_q.mu0
     if mu0 == INFINITY or mu_q == INFINITY:
         raise NonIsolatedError("non-isolated curve singularity in the blow-up")
     if mu0 - mu_q != m * (m - 1):
@@ -353,7 +353,7 @@ def delta_invariant_drop(origin: LocalPair, at_q: LocalPair, m: int) -> int:
             f"Milnor drop {mu0 - mu_q} does not match m(m-1) = {m * (m - 1)}; "
             "is the curve irreducible and reduced?"
         )
-    return int(origin.tau0 - at_q.tau0 - m * (m - 1) // 2)
+    return int(X.tau0 - X_q.tau0 - m * (m - 1) // 2)
 
 
 @dataclass(frozen=True)
@@ -421,7 +421,7 @@ def verify_blowup_formula(
     q is the divisor point of the strict transform of X; by default it is
     derived, which requires X irreducible at the origin.
     """
-    origin = LocalPair(F.form, X)
+    origin = X.pair(F.form)
     mu_br_0 = origin.bruce_roberts()
     mu_br_rel_0 = origin.br_relative()
 
@@ -438,11 +438,11 @@ def verify_blowup_formula(
     mu_br_q = at_q.bruce_roberts()
     mu_br_rel_q = at_q.br_relative()
 
-    sing = exceptional_singularities(bl)
+    sing = bl.exceptional_singularities
     sum_all = sum(mu for _, mu in sing)
     sum_other = sum(mu for p, mu in sing if p != q)
 
-    D = delta_invariant_drop(origin, at_q, bl_curve.m)
+    D = delta_invariant_drop(X, at_q.X, bl_curve.m)
     return BlowupReport(
         nu=bl.nu,
         m=bl_curve.m,
@@ -503,8 +503,8 @@ def generalized_curve_check(
         raise ComputationError("f_sep is not invariant by the foliation")
     HypersurfaceGerm(f_sep)  # validates reducedness for the plane case
 
-    along_F = LocalPair(F.form, X)
-    along_sep = LocalPair(OneForm.differential(f_sep), X)
+    along_F = X.pair(F.form)
+    along_sep = X.pair(OneForm.differential(f_sep))
     mu_br_F = along_F.bruce_roberts()
     mu_br_rel_F = along_F.br_relative()
     mu_br_sep = along_sep.bruce_roberts()

@@ -19,7 +19,7 @@ curated and randomized inputs.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -65,10 +65,12 @@ class HypersurfaceGerm:
     """A reduced hypersurface germ (X, 0) = {phi = 0}.
 
     phi must vanish at the origin and be reduced there: phi and its partials
-    share no factor through the origin.
+    share no factor through the origin.  The germ holds its mu0, its tau0 and
+    its pairs, each made on first use; it hashes and compares by phi alone.
     """
 
     phi: MPoly
+    _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.phi.is_zero:
@@ -98,6 +100,14 @@ class HypersurfaceGerm:
 
     def tjurina_ideal(self) -> LocalIdeal:
         return LocalIdeal.make(self.ring, [self.phi, *self.dphi])
+
+    # mu0(X) and tau0(X); a raise is not kept, so it is computed again if asked.
+    mu0 = cached_property(lambda self: colength(self.jacobian_ideal()))
+    tau0 = cached_property(lambda self: colength(self.tjurina_ideal()))
+
+    def pair(self, omega: OneForm) -> "LocalPair":
+        """The one LocalPair of omega along this germ."""
+        return self._pairs.setdefault(omega, LocalPair(omega, self))
 
 
 @dataclass(frozen=True)
@@ -134,16 +144,6 @@ def milnor_form(omega: OneForm) -> int | float:
     if omega.is_zero:
         raise ComputationError("the zero 1-form has no Milnor number")
     return colength(LocalIdeal.make(omega.ring, list(omega.coeffs)))
-
-
-def milnor_hyp(X: HypersurfaceGerm) -> int | float:
-    """mu0(X): colength of the Jacobian ideal."""
-    return colength(X.jacobian_ideal())
-
-
-def tjurina(X: HypersurfaceGerm) -> int | float:
-    """tau0(X): colength of <phi, dphi>."""
-    return colength(X.tjurina_ideal())
 
 
 def intersection_mult(f: MPoly, g: MPoly) -> int | float:
@@ -300,19 +300,19 @@ _REJECT = {
 
 
 class LocalPair:
-    """A (form, hypersurface) pair at the origin.  mu0(omega), mu0(X), tau0(X),
-    omega ∧ dphi, GSV(omega, X), the trivial-evaluation colength, the
-    invariance test and the saturation are each computed at most once; every
-    invariant is a difference of them and raises the typed error of the first
-    base quantity it needs that fails, checked in a fixed order."""
+    """A (form, hypersurface) pair at the origin.  mu0(omega), omega ∧ dphi,
+    GSV(omega, X), the trivial-evaluation colength, the invariance test and the
+    saturation are each computed at most once, and mu0(X) and tau0(X) are the
+    germ's; every invariant is a difference of them and raises the typed error
+    of the first base quantity it needs that fails, checked in a fixed order."""
 
     def __init__(self, omega: OneForm, X: HypersurfaceGerm):
         self.omega = omega
         self.X = X
 
     mu0_omega = cached_property(lambda self: milnor_form(self.omega))
-    mu0_X = cached_property(lambda self: milnor_hyp(self.X))
-    tau0 = cached_property(lambda self: tjurina(self.X))
+    mu0_X = property(lambda self: self.X.mu0)
+    tau0 = property(lambda self: self.X.tau0)
     # omega ∧ dphi, computed once: the invariance test reads it, and the GSV
     # and trivial-evaluation ideals take its coefficients as generators.
     wedge = cached_property(lambda self: wedge_coeffs(self.omega, self.X.phi))

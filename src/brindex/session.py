@@ -17,10 +17,10 @@ Each compute line yields one ResultRecord; the JSON form carries exactly the
 keys directive, inputs, values, checks (timing is human-output only, so two
 runs of the same session are byte-identical).
 
-A session keeps one ``LocalPair`` per (form, germ), which computes the base
-colengths once, and one saturated ``PlaneFoliation`` per form, which computes
-its blow-up and its singular points on P^2 with their Milnor numbers once.
-Nothing outlives the session; a failed computation is not kept.
+A session keeps one ``HypersurfaceGerm`` per polynomial, holding its mu0, tau0
+and one ``LocalPair`` per form, and one saturated ``PlaneFoliation`` per form,
+holding its blow-up, divisor singularities and singular points on P^2; each is
+computed once.  Nothing outlives the session; a failed computation is not kept.
 """
 
 from __future__ import annotations
@@ -48,8 +48,6 @@ from .invariants import (
     bruce_roberts_user_theta,
     gsv_icis,
     milnor_form,
-    milnor_hyp,
-    tjurina,
 )
 from .parsing import parse_form, parse_poly
 from .poly import MPoly, OneForm, Ring, ring
@@ -92,9 +90,8 @@ class Session:
         self.curves: dict[str, HypersurfaceGerm] = {}
         self.thetas: dict[str, ThetaGenerators] = {}
         self.params: dict[str, Parametrization] = {}
-        # One LocalPair per (form, germ), so each base colength is computed
-        # once per session, whichever directives ask for it.
-        self.pairs: dict[tuple[OneForm, HypersurfaceGerm], LocalPair] = {}
+        # One germ per polynomial, from ``curve`` or ``poly``, with its pairs.
+        self.germs: dict[MPoly, HypersurfaceGerm] = {}
         self.foliations: dict[OneForm, PlaneFoliation] = {}
         self.records: list[ResultRecord] = []
 
@@ -126,17 +123,21 @@ class Session:
             return self.curves[name].phi
         raise SessionError(f"no poly or curve named {name!r}", line)
 
+    def _germ(self, phi: MPoly) -> HypersurfaceGerm:
+        if phi not in self.germs:  # validates, so built only once
+            self.germs[phi] = HypersurfaceGerm(phi)
+        return self.germs[phi]
+
     def _germ_of(self, name: str, line: int) -> HypersurfaceGerm:
         if name in self.curves:
             return self.curves[name]
         if name in self.polys:
-            return HypersurfaceGerm(self.polys[name])
+            return self._germ(self.polys[name])
         raise SessionError(f"no curve named {name!r}", line)
 
     def _pair(self, form_name: str, curve_name: str, line: int) -> LocalPair:
         omega = self._get(self.forms, form_name, "form", line)
-        X = self._germ_of(curve_name, line)
-        return self.pairs.setdefault((omega, X), LocalPair(omega, X))
+        return self._germ_of(curve_name, line).pair(omega)
 
     def _foliation(self, omega: OneForm) -> PlaneFoliation:
         if omega not in self.foliations:  # saturates, so built only once
@@ -189,7 +190,7 @@ class Session:
             elif head == "form":
                 self.forms[name] = parse_form(rhs, R)
             elif head == "curve":
-                self.curves[name] = HypersurfaceGerm(parse_poly(rhs, R))
+                self.curves[name] = self._germ(parse_poly(rhs, R))
             elif head == "theta":
                 self.thetas[name] = self._parse_theta(rhs, R, line)
             else:
@@ -315,7 +316,7 @@ class Session:
         if name in self.forms:
             value = milnor_form(self.forms[name])
         elif name in self.curves:
-            value = milnor_hyp(self.curves[name])
+            value = self.curves[name].mu0
         elif name in self.polys:
             df = OneForm.differential(self.polys[name])
             if df.is_zero:
@@ -328,7 +329,7 @@ class Session:
     def _run_tjurina(self, args, line) -> ResultRecord:
         self._need_args(args, (1,), "tjurina CURVE", line)
         X = self._germ_of(args[0], line)
-        return ResultRecord("tjurina", tuple(args), {"tjurina": _fin(tjurina(X))}, [])
+        return ResultRecord("tjurina", tuple(args), {"tjurina": _fin(X.tau0)}, [])
 
     def _run_tang(self, args, line) -> ResultRecord:
         self._need_args(args, (2,), "tang FORM CURVE", line)

@@ -26,7 +26,6 @@ from brindex.invariants import (
     LocalPair,
     gsv_ideal,
     intersection_mult,
-    milnor_hyp,
     trivial_evaluation_ideal,
 )
 from brindex.localalg import INFINITY, LocalIdeal, colength, colength_oracle_auto
@@ -194,7 +193,7 @@ def suite_b():
     cases = []
     for phi, pm in curves:
         X = HypersurfaceGerm(phi)
-        mu0_X = int(milnor_hyp(X))
+        mu0_X = int(X.mu0)
         forms = [OneForm(R2, (parse_poly("y", R2), parse_poly("x", R2)))]
         A = _random_poly(rng, 2)
         B = _random_poly(rng, 2)

@@ -17,7 +17,6 @@ from brindex.foliation import (
     PlaneFoliation,
     blowup,
     delta_invariant_drop,
-    exceptional_singularities,
     generalized_curve_check,
     order_pullback,
     strict_transform_curve,
@@ -210,7 +209,7 @@ def test_blowup_charts_nondicritical():
     assert bl.nu == 1
     assert bl.k == 1
     assert not bl.dicritical
-    sing = exceptional_singularities(bl)
+    sing = bl.exceptional_singularities
     assert sum(mu for _, mu in sing) == 2  # two reduced singular points
 
 
@@ -261,12 +260,9 @@ def test_delta_invariant_drop_verifies_milnor_drop():
     X = _germ("y^2 - x^5")
     cb = strict_transform_curve(X)
     germ_q = cb.germ_at(cb.unique_divisor_point())
-    # The drop reads only the germ quantities of each pair, never the form.
-    origin = LocalPair(OneForm.differential(X.phi), X)
-    at_q = LocalPair(OneForm.differential(germ_q.phi), germ_q)
-    assert delta_invariant_drop(origin, at_q, cb.m) == 1
+    assert delta_invariant_drop(X, germ_q, cb.m) == 1
     with pytest.raises(ComputationError, match="Milnor drop"):
-        delta_invariant_drop(origin, at_q, 3)
+        delta_invariant_drop(X, germ_q, 3)
 
 
 def test_blowup_ledger_nondicritical():

@@ -27,8 +27,6 @@ from brindex.invariants import (
     icis_pair_milnor,
     is_invariant,
     milnor_form,
-    milnor_hyp,
-    tjurina,
     trivial_evaluation_ideal,
 )
 from brindex.localalg import INFINITY, colength, colength_oracle_auto, minors
@@ -70,25 +68,25 @@ def test_germ_validation():
 def test_reducedness_is_tested_at_the_origin():
     # (x - 1)^2 is a unit germ at 0: the germ is the reduced cusp.
     far = _germ("(y^2 - x^3)*(x - 1)^2")
-    assert milnor_hyp(far) == milnor_hyp(CUSP) == 2
-    assert tjurina(far) == tjurina(CUSP) == 2
+    assert far.mu0 == CUSP.mu0 == 2
+    assert far.tau0 == CUSP.tau0 == 2
     with pytest.raises(ComputationError, match="not reduced"):
         _germ("(x^2 + y^3 + z^5)^2", R3)
 
 
 def test_milnor_and_tjurina_of_knowns():
-    assert milnor_hyp(CUSP) == 2
-    assert tjurina(CUSP) == 2
+    assert CUSP.mu0 == 2
+    assert CUSP.tau0 == 2
     quasi = _germ("y^3 - x^7")
-    assert milnor_hyp(quasi) == 12
-    assert tjurina(quasi) == 12
+    assert quasi.mu0 == 12
+    assert quasi.tau0 == 12
     # A curve with mu != tau.
     wild = _germ("y^3 - x^7 + x^5*y")
-    assert milnor_hyp(wild) == 12
-    assert tjurina(wild) == 11
+    assert wild.mu0 == 12
+    assert wild.tau0 == 11
     node = _germ("x*y")
-    assert milnor_hyp(node) == 1
-    assert tjurina(node) == 1
+    assert node.mu0 == 1
+    assert node.tau0 == 1
 
 
 def test_milnor_form():

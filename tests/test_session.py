@@ -8,18 +8,24 @@ from pathlib import Path
 import pytest
 from hypothesis import given
 
-from brindex.config import reset_limits
-from brindex.corpus import CASES
+from brindex.config import reset_limits, set_limits
+from brindex.corpus import CASES, run_identity_sweep
 from brindex.errors import (
     BrindexError,
     ComputationError,
     InvariantCurveError,
+    ResourceLimitError,
     SessionError,
 )
+from brindex.invariants import HypersurfaceGerm
+from brindex.parsing import parse_form, parse_poly
+from brindex.poly import ring
 from brindex.session import Session, render_human, render_jsonl, run_session_text
 from tests_util import CallSpy, affine_forms, with_form_examples
 
 DEMO = Path(__file__).resolve().parents[1] / "scripts" / "demo.session"
+# Every corpus session and the demo, by id.
+SESSIONS = {case.id: case.session for case in CASES} | {"demo": DEMO.read_text()}
 
 
 @pytest.fixture(autouse=True)
@@ -250,6 +256,46 @@ def test_a_session_saturates_blows_up_and_walks_each_form_once(monkeypatch):
     assert [tuple(map(str, args)) for args in zeros.args].count(("y", "x")) == 1
 
 
+# colength calls minus distinct ideals, per session; every other session
+# repeats none.  Two repeats stay: the strict transform's Milnor number at q,
+# which the pair at q and the divisor singularities both compute, and mu0 of
+# a form, which each pair holds, so ``milnor FORM`` computes it again.
+COLENGTH_REPEATS = {
+    "demo": 1,
+    "suzuki": 2,
+    "blowup-nondicritical": 1,
+    "blowup-dicritical": 1,
+    "generalized-curve": 1,
+}
+
+
+@pytest.mark.parametrize("case_id", list(SESSIONS))
+def test_reuse_computes_each_colength_once(monkeypatch, case_id):
+    spy = CallSpy(monkeypatch, "localalg", "colength")
+    run_session_text(SESSIONS[case_id])
+    distinct = {ideal for ideal, in spy.args}
+    assert len(spy.args) - len(distinct) == COLENGTH_REPEATS.get(case_id, 0)
+
+
+def test_reuse_of_a_germ_keeps_no_raise():
+    R = ring("x", "y")
+    X = HypersurfaceGerm(parse_poly("y^3 - x^7 + x^5*y", R))
+    set_limits(max_reduction_steps=1)
+    with pytest.raises(ResourceLimitError):
+        X.tau0
+    reset_limits()
+    assert X.tau0 == 11
+    # The germ holds one pair per form, and still compares by its equation.
+    omega = parse_form("y dx + x dy", R)
+    assert X.pair(omega) is X.pair(omega)
+    assert X == HypersurfaceGerm(X.phi) and hash(X) == hash(HypersurfaceGerm(X.phi))
+
+
+def test_reuse_of_pool_germs_gives_equal_sweeps():
+    first = run_identity_sweep(n=6, seed=11)
+    assert run_identity_sweep(n=6, seed=11).to_json_obj() == first.to_json_obj()
+
+
 def _outcome(session: Session, text: str):
     """The last record of running text in session, as JSON, or the error."""
     try:
@@ -276,10 +322,7 @@ def _assert_reuse_changes_nothing(text: str) -> None:
         assert _outcome(shared, "\n" * i + lines[i]) == _outcome(Session(), alone), lines[i]
 
 
-@pytest.mark.parametrize(
-    "text", [case.session for case in CASES] + [DEMO.read_text()],
-    ids=[case.id for case in CASES] + ["demo"],
-)
+@pytest.mark.parametrize("text", SESSIONS.values(), ids=list(SESSIONS))
 def test_reuse_changes_no_record_of_a_corpus_session(text):
     _assert_reuse_changes_nothing(text)
 
@@ -292,7 +335,7 @@ def test_reuse_changes_no_record_of_a_random_form(form):
     text = "\n".join(
         ["ring x, y", f"form w = ({A}) dx + ({B}) dy"]
         + [f"curve {name} = {phi}" for name, phi in curves.items()]
-        + ["compute blowup w", "compute p2-check w"]
+        + ["compute blowup w", "compute p2-check w", "compute invariants w Q"]
         + [f"compute blowup-verify w {name}" for name in curves]
         + [f"compute p2-check w {name}" for name in curves]
         + ["compute tang w K", "compute invariants w K"]
