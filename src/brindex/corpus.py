@@ -353,13 +353,19 @@ def run_identity_sweep(n: int = 25, seed: int = _SWEEP_SEED) -> ResultRecord:
         if saturated.mu0_omega >= nu * (nu + 1) // 2:
             wins["multiplicity_bound"] += 1
         # The oracle checks the standard-basis colengths the pair and the
-        # trivial route already computed.
+        # trivial route already computed, starting at the first bound that can
+        # certify: the depth of the value's staircase + 2 (the lowest bound for
+        # a value without one), clamped to the cap.
         checked = [
             (LocalIdeal.make(R2, [A, B]), pair.mu0_omega),
             (X.tjurina_ideal(), pair.tau0),
             (trivial_evaluation_ideal(omega, X, pair.wedge), pair.trivial),
         ]
-        agreed = all(colength_oracle_auto(I, cap=cap) == value for I, value in checked)
+        agreed = all(
+            colength_oracle_auto(I, start=min(getattr(value, "depth", 0) + 2, cap), cap=cap)
+            == value
+            for I, value in checked
+        )
         if agreed:
             wins["oracle_agreement"] += 1
 

@@ -41,7 +41,10 @@ echelon form the rank on the columns of degree < b is the number of pivots of
 degree < b, so one elimination at the bound gives d(b) for every smaller b.
 The oracle codes monomials as integers of its own, whose order is the local
 order, so a row is built by adding codes; a row's content is divided out only
-when the row is stored as a pivot.
+when the row is stored as a pivot.  A row m * g_i is not built when m is
+already a pivot of the rows of earlier generators (the F5 criterion; the span
+argument is at `_pivot_columns`).  The start bound of `colength_oracle_auto`
+sets only where its search begins, never the value it returns.
 """
 
 from __future__ import annotations
@@ -59,6 +62,20 @@ from .errors import ResourceLimitError
 from .poly import Exp, MPoly, Ring, _Packer, _packer, local_key
 
 INFINITY = math.inf
+
+
+class Colength(int):
+    """A finite colength that also carries ``depth``, the degree of the
+    deepest cell of its certified staircase (0 when the staircase is empty).
+
+    It is an int, so every caller that reads a number keeps reading one; the
+    depth goes wherever the value is stored, and arithmetic drops it.
+    """
+
+    def __new__(cls, count: int, depth: int):
+        self = super().__new__(cls, count)
+        self.depth = depth
+        return self
 
 
 @dataclass(frozen=True)
@@ -295,6 +312,9 @@ _BOUND_CAP = 256
 def colength(ideal: LocalIdeal) -> int | float:
     """dim_Q O_n / I as a local ring quotient; inf for non-isolated ideals.
 
+    A finite value is a `Colength`, which also gives the degree of the deepest
+    cell of the staircase it was read from.
+
     In two variables the staircase of I + m^b is read for doubling b.  A cell
     of degree d forces divisor cells at every degree below d, so when no cell
     reaches degree b - 1 the cut changed nothing and the count is the
@@ -305,7 +325,8 @@ def colength(ideal: LocalIdeal) -> int | float:
     `Limits.max_reduction_steps` covers the whole call.
     """
     if ideal.ring.n == 1:
-        return int(min(g.order() for g in ideal.gens))
+        count = int(min(g.order() for g in ideal.gens))
+        return Colength(count, max(count - 1, 0))
     budget = _Budget(get_limits().max_reduction_steps)
     packer = _packer(ideal.ring.n)
     gens = [_int_record(_int_from_poly(g), packer) for g in ideal.gens]
@@ -315,7 +336,7 @@ def colength(ideal: LocalIdeal) -> int | float:
             cap = [(bound - k, k) for k in range(bound + 1)]
             count, deepest = _staircase_of(packer, gens, budget, cap)
             if sum(deepest) < bound - 1:
-                return count
+                return Colength(count, sum(deepest))
             if bound == 16 and not coprime_at_origin(*ideal.gens):
                 return INFINITY
             bound *= 2
@@ -323,7 +344,7 @@ def colength(ideal: LocalIdeal) -> int | float:
             f"staircase does not close below degree {_BOUND_CAP}"
         )
     stairs = _staircase_of(packer, gens, budget)
-    return INFINITY if stairs is None else stairs[0]
+    return INFINITY if stairs is None else Colength(stairs[0], sum(stairs[1]))
 
 
 # -- independent truncated linear-algebra route ------------------------------
@@ -389,6 +410,12 @@ def _pivot_columns(n: int, gens: list[list[tuple[Exp, int]]], bound: int) -> set
     Z by cross-multiplication with the pivot row's leading coefficient.  The
     content is divided out only when a row is stored as a pivot: scaling a
     row moves neither its support nor its lowest column.
+
+    The row m * g_i is skipped when m is a pivot of the rows of g_1 ... g_(i-1)
+    (F5 criterion, Macaulay-matrix form).  Such a pivot leads some row r of
+    their span, r = m + later columns, and r * g_i lies in that span too, so
+    m * g_i is r * g_i minus rows m' * g_i with m' > m: the row adds nothing
+    to the span, and the pivot set, which the span alone fixes, is the same.
     """
     width = _field_width(bound)
     limit = bound << n * width
@@ -397,9 +424,12 @@ def _pivot_columns(n: int, gens: list[list[tuple[Exp, int]]], bound: int) -> set
     for terms in gens:
         coded = [(_encode(e, width), c) for e, c in terms if sum(e) < bound]
         low = min((e for e, _ in coded), default=limit)
+        earlier = set(pivots)
         for m in monomials:
             if low + m >= limit:
                 break
+            if m in earlier:
+                continue
             row = {e + m: c for e, c in coded if e + m < limit}
             while row:
                 lead = min(row)
@@ -444,7 +474,14 @@ def colength_oracle(ideal: LocalIdeal, bound: int) -> int | None:
 
 
 def colength_oracle_auto(ideal: LocalIdeal, start: int = 4, cap: int = 64) -> int:
-    """Raise the oracle bound until the dimension stabilizes."""
+    """Raise the oracle bound by 2 from ``start`` until the dimension
+    stabilizes, at most to ``cap``.
+
+    Bound b certifies exactly when no staircase cell has degree b - 1 or
+    more, and each bound that certifies gives the colength, so ``start`` sets
+    only where the search begins: the staircase's depth + 2 makes the search
+    one elimination, and a wrong start costs time, never a different value.
+    """
     gens = [_integer_terms(g) for g in ideal.gens]
     bound = max(start, 2)
     while bound <= cap:

@@ -52,6 +52,8 @@ class _Token:
 
 
 _OPS = set("+-*^/()")
+# ASCII only: str.isdigit() also accepts superscripts and other scripts' digits.
+_DIGITS = set("0123456789")
 
 
 def _lex(text: str) -> list[_Token]:
@@ -63,9 +65,9 @@ def _lex(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             out.append(_Token("INT", text[i:j], i))
             i = j

@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 
 from brindex import poly
 from brindex.config import reset_limits, set_limits
+from brindex.corpus import run_identity_sweep
 from brindex.elim import coprime_at_origin
 from brindex.errors import ResourceLimitError
-from brindex.invariants import HypersurfaceGerm, trivial_evaluation_ideal
+from brindex.invariants import HypersurfaceGerm, LocalPair, trivial_evaluation_ideal
 from brindex.localalg import (
     INFINITY,
+    Colength,
     LocalIdeal,
     _Budget,
     _field_width,
@@ -34,6 +36,7 @@ from brindex.localalg import (
 )
 from brindex.parsing import parse_form, parse_poly
 from brindex.poly import MPoly, _packer, local_key, ring
+from tests_util import CallSpy
 
 R1 = ring("t")
 R2 = ring("x", "y")
@@ -455,6 +458,61 @@ def test_oracle_pivots_match_a_tuple_reference(ring_, max_bound, data):
     assert decoded == _tuple_pivots(I, bound)
 
 
+@pytest.mark.parametrize("ring_, max_bound", [(R2, 8), (R3, 5)], ids=["n2", "n3"])
+@given(data=st.data())
+def test_oracle_pivots_do_not_depend_on_the_generator_order(ring_, max_bound, data):
+    # The rows a generator skips are the pivots of the generators before it;
+    # a skip that also read the generator's own pivots would lose rows.
+    I = data.draw(_ideals(ring_))
+    bound = data.draw(st.integers(2, max_bound))
+    gens = [_integer_terms(g) for g in I.gens]
+    assert _pivot_columns(ring_.n, gens, bound) == _pivot_columns(ring_.n, gens[::-1], bound)
+
+
+@st.composite
+def _finite_ideals(draw, ring_, max_power):
+    """`_ideals` and a power of each variable, so the colength is finite."""
+    I = draw(_ideals(ring_))
+    powers = [ring_.var(i) ** draw(st.integers(2, max_power)) for i in range(ring_.n)]
+    return LocalIdeal.make(ring_, [*I.gens, *powers])
+
+
+@pytest.mark.parametrize("ring_, max_power", [(R2, 4), (R3, 3)], ids=["n2", "n3"])
+@given(data=st.data())
+def test_oracle_start_sets_only_where_the_search_begins(ring_, max_power, data):
+    I = data.draw(_finite_ideals(ring_, max_power))
+    value = colength(I)
+    # The first bound that certifies is the depth of the staircase + 2.
+    first = next(b for b in range(2, 65) if colength_oracle(I, b) is not None)
+    assert first == value.depth + 2
+    expected = colength_oracle_auto(I)
+    assert expected == value
+    for start in range(2, first + 5):
+        assert colength_oracle_auto(I, start=start) == expected
+
+
+def test_oracle_runs_one_elimination_per_sweep_check(monkeypatch):
+    spy = CallSpy(monkeypatch, "localalg", "_oracle_at")
+    record = run_identity_sweep(n=25)
+    # Three colengths per case: mu0(omega), tau0(X) and the trivial evaluation.
+    assert record.values["cases"] == 25
+    assert len(spy.args) == 3 * 25
+
+
+def test_oracle_disagreement_still_fails_the_sweep(monkeypatch):
+    # A trivial-evaluation value one too high that keeps its depth: the oracle
+    # starts at a bound that certifies, and its value differs.
+    trivial = LocalPair.trivial.func
+
+    def off_by_one(pair):
+        value = trivial(pair)
+        return Colength(value + 1, value.depth)
+
+    monkeypatch.setattr(LocalPair, "trivial", property(off_by_one))
+    agreement = {c.name: c for c in run_identity_sweep(n=6).checks}["oracle_agreement"]
+    assert agreement.lhs < agreement.rhs == 6
+
+
 def test_oracle_exponent_past_the_code_field():
     # y^70000 fills no field of the code: a generator term of degree >= the
     # bound is dropped before coding, so no field carries into the next.
@@ -483,3 +541,9 @@ def test_colength_values_are_plain_ints():
     v = colength(_ideal(R2, "x^2", "y^3"))
     assert isinstance(v, int) and not isinstance(v, bool)
     assert math.isinf(colength(_ideal(R2, "x")))
+    # Each also carries the degree of its deepest staircase cell: x*y^2, t^3,
+    # x*y*z, and the origin for an empty staircase.
+    assert v.depth == 3
+    assert colength(_ideal(R1, "t^4", "t^7 + t^6")).depth == 3
+    assert colength(_ideal(R3, "x^2", "y^2", "z^2")).depth == 3
+    assert colength(_ideal(R2, "1 + x")).depth == 0

@@ -62,6 +62,23 @@ def test_parse_rejects_garbage():
             parse_poly(bad, R2)
 
 
+@pytest.mark.parametrize(
+    "text,message,position",
+    [
+        ("x^²", "unexpected character '²'", 2),
+        ("x^٣", "unexpected character '٣'", 2),
+        ("12²", "unexpected character '²'", 2),
+        ("x² + 1", "unknown variable 'x²'", 0),
+    ],
+)
+def test_parse_reads_only_ascii_digits_as_integers(text, message, position):
+    # str.isdigit() also holds for superscripts and other scripts' digits;
+    # names keep every alphanumeric character, as before.
+    with pytest.raises(ExprParseError, match=message) as exc:
+        parse_poly(text, R2)
+    assert exc.value.position == position
+
+
 def test_parse_caps_parenthesis_nesting():
     def nested(depth: int) -> str:
         return "(" * depth + "x" + ")" * depth

@@ -63,7 +63,7 @@ class CallSpy:
             self.stacks.append({frame.name for frame in traceback.extract_stack()})
             return original(*args)
 
-        for module in ("elim", "foliation", "invariants", "projective", "session"):
+        for module in ("elim", "foliation", "invariants", "localalg", "projective", "session"):
             mod = importlib.import_module(f"brindex.{module}")
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, spy)
