@@ -27,11 +27,9 @@ from .invariants import (
     ThetaGenerators,
     br_function,
     bruce_roberts_user_theta,
-    gsv_hyp,
     gsv_icis,
     icis_pair_milnor,
     intersection_mult,
-    is_invariant,
     milnor_form,
 )
 from .foliation import (

@@ -17,7 +17,7 @@ from textwrap import dedent
 
 from .config import get_limits
 from .errors import ComputationError
-from .invariants import Check, HypersurfaceGerm, LocalPair, trivial_evaluation_ideal
+from .invariants import Check, HypersurfaceGerm, LocalPair
 from .localalg import INFINITY, LocalIdeal, colength_oracle_auto
 from .parsing import parse_poly
 from .poly import MPoly, OneForm, ring
@@ -352,14 +352,14 @@ def run_identity_sweep(n: int = 25, seed: int = _SWEEP_SEED) -> ResultRecord:
         nu = int(min(c.order() for c in saturated.omega.coeffs))
         if saturated.mu0_omega >= nu * (nu + 1) // 2:
             wins["multiplicity_bound"] += 1
-        # The oracle checks the standard-basis colengths the pair and the
-        # trivial route already computed, starting at the first bound that can
-        # certify: the depth of the value's staircase + 2 (the lowest bound for
-        # a value without one), clamped to the cap.
+        # The oracle checks the standard-basis colengths the pair and the germ
+        # already computed, on the ideals they measured, starting at the first
+        # bound that can certify: the depth of the value's staircase + 2 (the
+        # lowest bound for a value without one), clamped to the cap.
         checked = [
             (LocalIdeal.make(R2, [A, B]), pair.mu0_omega),
-            (X.tjurina_ideal(), pair.tau0),
-            (trivial_evaluation_ideal(omega, X, pair.wedge), pair.trivial),
+            (X.tjurina_ideal, pair.tau0),
+            (pair.trivial_ideal, pair.trivial),
         ]
         agreed = all(
             colength_oracle_auto(I, start=min(getattr(value, "depth", 0) + 2, cap), cap=cap)

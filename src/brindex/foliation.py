@@ -26,8 +26,8 @@ from .errors import (
     IrrationalPointError,
     NonIsolatedError,
 )
-from .invariants import Check, HypersurfaceGerm, LocalPair
-from .localalg import INFINITY, LocalIdeal, colength
+from .invariants import Check, HypersurfaceGerm, LocalPair, milnor_form
+from .localalg import INFINITY
 from .poly import MPoly, OneForm, Ring, exact_divide, ring, wedge_coeffs
 
 CHART_XT = ring("x", "t")
@@ -77,7 +77,7 @@ class PlaneFoliation:
 
     def milnor(self) -> int | float:
         """mu0(F) = colength of the coefficient ideal of the saturated form."""
-        return colength(LocalIdeal.make(self.ring, [self.A, self.B]))
+        return milnor_form(self.form)
 
     def tangent_field_applied(self, phi: MPoly) -> MPoly:
         """v(phi) for the tangent field v = -B d/dx + A d/dy."""

@@ -1,13 +1,16 @@
 """Local invariants of hypersurface germs and 1-forms at an isolated singularity.
 
-Everything reduces to colengths of explicitly constructed ideals:
+Everything reduces to colengths of explicitly constructed ideals, each built
+by the one object that measures it:
 
-* mu0(omega)        coefficient ideal of the form
-* mu0(X), tau0(X)   Jacobian ideal, Tjurina ideal of the hypersurface
-* GSV index         <phi> + the coefficients of omega ∧ dphi
+* mu0(omega)        coefficient ideal of the form (``milnor_form``)
+* mu0(X), tau0(X)   ``HypersurfaceGerm.jacobian_ideal`` and ``tjurina_ideal``
+* GSV index         ``LocalPair.gsv_ideal``: <phi> + the coefficients of
+                    omega ∧ dphi
 * Bruce-Roberts     GSV + mu0(omega) - tau0(X); equivalently the colength of
-                    the evaluation of omega on the trivial tangent fields
-                    (phi d_i and the Hamiltonian fields of phi) minus tau0
+                    ``LocalPair.trivial_ideal``, the evaluation of omega on
+                    the trivial tangent fields (phi d_i and the Hamiltonian
+                    fields of phi), minus tau0
 * relative version  GSV - tau0
 * radial index      GSV - mu0(X)
 * Euler obstruction (plane curves) radial index - (multiplicity - 1)
@@ -95,15 +98,13 @@ class HypersurfaceGerm:
     def multiplicity(self) -> int:
         return int(self.phi.order())
 
-    def jacobian_ideal(self) -> LocalIdeal:
-        return LocalIdeal.make(self.ring, self.dphi)
-
-    def tjurina_ideal(self) -> LocalIdeal:
-        return LocalIdeal.make(self.ring, [self.phi, *self.dphi])
-
+    jacobian_ideal = cached_property(lambda self: LocalIdeal.make(self.ring, self.dphi))
+    tjurina_ideal = cached_property(
+        lambda self: LocalIdeal.make(self.ring, [self.phi, *self.dphi])
+    )
     # mu0(X) and tau0(X); a raise is not kept, so it is computed again if asked.
-    mu0 = cached_property(lambda self: colength(self.jacobian_ideal()))
-    tau0 = cached_property(lambda self: colength(self.tjurina_ideal()))
+    mu0 = cached_property(lambda self: colength(self.jacobian_ideal))
+    tau0 = cached_property(lambda self: colength(self.tjurina_ideal))
 
     def pair(self, omega: OneForm) -> "LocalPair":
         """The one LocalPair of omega along this germ."""
@@ -153,41 +154,6 @@ def intersection_mult(f: MPoly, g: MPoly) -> int | float:
     return colength(LocalIdeal.make(f.ring, [f, g]))
 
 
-def is_invariant(omega: OneForm, X: HypersurfaceGerm, wedge: dict | None = None) -> bool:
-    """True when omega ∧ dphi vanishes on X, i.e. phi divides every
-    coefficient of the wedge; then X is invariant by the foliation of omega.
-
-    Here and below, ``wedge`` is ``wedge_coeffs(omega, X.phi)`` when the
-    caller already holds it."""
-    if omega.ring != X.ring:
-        raise ValueError("form and hypersurface live in different rings")
-    if wedge is None:
-        wedge = wedge_coeffs(omega, X.phi)
-    for c in wedge.values():
-        if c.is_zero:
-            continue
-        if exact_divide(c, X.phi) is None:
-            return False
-    return True
-
-
-def gsv_ideal(omega: OneForm, X: HypersurfaceGerm, wedge: dict | None = None) -> LocalIdeal:
-    if wedge is None:
-        wedge = wedge_coeffs(omega, X.phi)
-    return LocalIdeal.make(X.ring, [X.phi, *wedge.values()])
-
-
-def gsv_hyp(omega: OneForm, X: HypersurfaceGerm, wedge: dict | None = None) -> int | float:
-    """GSV index of omega along the hypersurface.
-
-    Infinite exactly when some branch of X is invariant (non-isolated
-    tangency); finite otherwise.
-    """
-    if omega.ring != X.ring:
-        raise ValueError("form and hypersurface live in different rings")
-    return colength(gsv_ideal(omega, X, wedge))
-
-
 def gsv_icis(omega: OneForm, fs: Sequence[MPoly]) -> int | float:
     """GSV index of omega along the ICIS {f_1 = ... = f_k = 0}."""
     if not fs:
@@ -199,22 +165,14 @@ def gsv_icis(omega: OneForm, fs: Sequence[MPoly]) -> int | float:
     for f in fs:
         if f.ring != ring_:
             raise ValueError("equations must share the ring of the form")
+        if f.is_zero:
+            raise ComputationError("the zero polynomial does not define an ICIS")
         if f.constant_term() != 0:
             raise ComputationError("ICIS equations must vanish at the origin")
     rows = [[f.partial(i) for i in range(ring_.n)] for f in fs]
     rows.append(list(omega.coeffs))
     mm = minors(rows, k + 1)
     return colength(LocalIdeal.make(ring_, list(fs) + mm))
-
-
-def trivial_evaluation_ideal(
-    omega: OneForm, X: HypersurfaceGerm, wedge: dict | None = None
-) -> LocalIdeal:
-    """omega evaluated on the tangent fields that exist for every X:
-    phi * d_i and the Hamiltonian fields phi_{x_j} d_k - phi_{x_k} d_j."""
-    if wedge is None:
-        wedge = wedge_coeffs(omega, X.phi)
-    return LocalIdeal.make(X.ring, [*(X.phi * a for a in omega.coeffs), *wedge.values()])
 
 
 def bruce_roberts_user_theta(
@@ -301,10 +259,11 @@ _REJECT = {
 
 class LocalPair:
     """A (form, hypersurface) pair at the origin.  mu0(omega), omega ∧ dphi,
-    GSV(omega, X), the trivial-evaluation colength, the invariance test and the
-    saturation are each computed at most once, and mu0(X) and tau0(X) are the
-    germ's; every invariant is a difference of them and raises the typed error
-    of the first base quantity it needs that fails, checked in a fixed order."""
+    the GSV and trivial-evaluation ideals and their colengths, the invariance
+    test and the saturation are each computed at most once, and mu0(X) and
+    tau0(X) are the germ's; every invariant is a difference of them and raises
+    the typed error of the first base quantity it needs that fails, checked in
+    a fixed order."""
 
     def __init__(self, omega: OneForm, X: HypersurfaceGerm):
         self.omega = omega
@@ -316,13 +275,36 @@ class LocalPair:
     # omega ∧ dphi, computed once: the invariance test reads it, and the GSV
     # and trivial-evaluation ideals take its coefficients as generators.
     wedge = cached_property(lambda self: wedge_coeffs(self.omega, self.X.phi))
-    gsv = cached_property(lambda self: gsv_hyp(self.omega, self.X, self.wedge))
-    # The colength of an ideal independent of the GSV ideal, so the two
-    # Bruce-Roberts routes stay an independent check of each other.
-    trivial = cached_property(
-        lambda self: colength(trivial_evaluation_ideal(self.omega, self.X, self.wedge))
-    )
-    invariant = cached_property(lambda self: is_invariant(self.omega, self.X, self.wedge))
+
+    @cached_property
+    def gsv_ideal(self) -> LocalIdeal:
+        """<phi> + the coefficients of omega ∧ dphi."""
+        return LocalIdeal.make(self.X.ring, [self.X.phi, *self.wedge.values()])
+
+    @cached_property
+    def trivial_ideal(self) -> LocalIdeal:
+        """omega evaluated on the tangent fields that exist for every X:
+        phi * d_i and the Hamiltonian fields phi_{x_j} d_k - phi_{x_k} d_j.
+        It is independent of the GSV ideal, so the two Bruce-Roberts routes
+        stay an independent check of each other."""
+        phi = self.X.phi
+        return LocalIdeal.make(
+            self.X.ring, [*(phi * a for a in self.omega.coeffs), *self.wedge.values()]
+        )
+
+    # GSV(omega, X): infinite exactly when some branch of X is invariant.
+    gsv = cached_property(lambda self: colength(self.gsv_ideal))
+    trivial = cached_property(lambda self: colength(self.trivial_ideal))
+
+    @cached_property
+    def invariant(self) -> bool:
+        """True when omega ∧ dphi vanishes on X, i.e. phi divides every
+        coefficient of the wedge; then X is invariant by the foliation of
+        omega."""
+        phi = self.X.phi
+        return all(
+            c.is_zero or exact_divide(c, phi) is not None for c in self.wedge.values()
+        )
 
     @cached_property
     def saturation(self) -> tuple["LocalPair", int | float]:

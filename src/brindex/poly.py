@@ -34,7 +34,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import ResourceLimitError
 
@@ -632,13 +632,6 @@ class OneForm:
         for a in self.coeffs:
             if a.ring != self.ring:
                 raise ValueError("form coefficients must share the ring")
-
-    @classmethod
-    def make(cls, ring_: Ring, coeffs: Iterable[MPoly | int | Fraction]) -> "OneForm":
-        cs = tuple(
-            c if isinstance(c, MPoly) else ring_.constant(c) for c in coeffs
-        )
-        return cls(ring_, cs)
 
     @classmethod
     def differential(cls, f: MPoly) -> "OneForm":

@@ -162,8 +162,7 @@ class Session:
         return self.records
 
     def _statement(self, stmt: str, line: int) -> None:
-        head, _, rest = stmt.partition(" ")
-        rest = rest.strip()
+        head, rest = (stmt.split(None, 1) + [""])[:2]
         if head == "ring":
             if self.ring is not None:
                 raise SessionError("ring is already declared", line)

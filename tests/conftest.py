@@ -21,13 +21,7 @@ from brindex.foliation import (
     PlaneFoliation,
     order_pullback,
 )
-from brindex.invariants import (
-    HypersurfaceGerm,
-    LocalPair,
-    gsv_ideal,
-    intersection_mult,
-    trivial_evaluation_ideal,
-)
+from brindex.invariants import HypersurfaceGerm, LocalPair, intersection_mult
 from brindex.localalg import INFINITY, LocalIdeal, colength, colength_oracle_auto
 from brindex.parsing import parse_poly
 from brindex.poly import MPoly, OneForm, ring
@@ -52,6 +46,14 @@ SUITE_A_CURVES = (
     "y^3 - x^7",
     "x^3 - y^4",
 )
+
+
+def _with_oracle(I: LocalIdeal) -> tuple[int, int]:
+    """colength(I) and the oracle's value for I.  The oracle starts at the
+    first bound that can certify, the staircase's depth + 2; every bound that
+    certifies gives the same value, so the start costs no strength."""
+    value = colength(I)
+    return int(value), int(colength_oracle_auto(I, start=value.depth + 2))
 
 
 def _random_poly(rng: random.Random, max_deg: int) -> MPoly:
@@ -100,11 +102,7 @@ def suite_a():
                     int(intersection_mult(X.phi, A))
                     + int(intersection_mult(X.phi, B)),
                 )
-        ideals = [
-            LocalIdeal.make(R2, [A, B]),
-            X.tjurina_ideal(),
-            trivial_evaluation_ideal(omega, X),
-        ]
+        ideals = [LocalIdeal.make(R2, [A, B]), X.tjurina_ideal, pair.trivial_ideal]
         cases.append(
             {
                 "X": str(X.phi),
@@ -119,9 +117,7 @@ def suite_a():
                 "nu": fol.multiplicity(),
                 "milnor_F": int(fol.milnor()),
                 "additivity": additivity,
-                "colengths": [
-                    (int(colength(I)), int(colength_oracle_auto(I))) for I in ideals
-                ],
+                "colengths": [_with_oracle(I) for I in ideals],
             }
         )
     return {"cases": cases, "skipped": skipped}
@@ -203,12 +199,10 @@ def suite_b():
             pair = LocalPair(omega, X)
             if pair.mu0_omega == INFINITY or pair.invariant:
                 continue
-            fol = PlaneFoliation.from_form(omega)
             try:
                 order = order_pullback(omega, pm, X)
             except InvariantCurveError:
                 continue
-            tang_ideal = gsv_ideal(fol.form, X)
             cases.append(
                 {
                     "phi": str(phi),
@@ -218,12 +212,7 @@ def suite_b():
                     "order": order,
                     "tang": pair.tangency(),
                     "rad": pair.radial_index(),
-                    "colengths": [
-                        (
-                            int(colength(tang_ideal)),
-                            int(colength_oracle_auto(tang_ideal)),
-                        )
-                    ],
+                    "colengths": [_with_oracle(pair.saturation[0].gsv_ideal)],
                 }
             )
     return {"cases": cases, "monomial_curves": monomial, "hand_built": len(hand_built)}

@@ -90,6 +90,29 @@ def test_math_domain_error_exits_2(tmp_path, capsys):
     assert "invariant" in capsys.readouterr().err
 
 
+def test_a_zero_icis_equation_exits_2(tmp_path, capsys):
+    """{0 = 0, y = 0} is not an ICIS, so its GSV index is refused, not infinite."""
+    text = (
+        "ring x, y, z\n"
+        "form w = x dx + y dy + z dz\n"
+        "poly f = 0\n"
+        "poly g = y\n"
+        "compute gsv w f g\n"
+    )
+    assert main(["run", _write(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert "line 5: the zero polynomial does not define an ICIS" in err
+    assert "Traceback" not in err
+
+
+def test_a_byte_order_mark_is_not_part_of_the_first_statement(tmp_path, capsys):
+    assert main(["run", _write(tmp_path, GOOD), "--json"]) == 0
+    want = capsys.readouterr().out
+    (tmp_path / "bom.session").write_text(GOOD, encoding="utf-8-sig")
+    assert main(["run", str(tmp_path / "bom.session"), "--json"]) == 0
+    assert capsys.readouterr().out == want
+
+
 @pytest.mark.parametrize("value", ["3", "0"])
 def test_milnor_of_a_constant_poly_exits_2(tmp_path, capsys, value):
     text = f"ring x, y\npoly f = {value}\ncompute milnor f\n"

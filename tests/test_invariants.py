@@ -21,13 +21,9 @@ from brindex.invariants import (
     ThetaGenerators,
     br_function,
     bruce_roberts_user_theta,
-    gsv_hyp,
     gsv_icis,
-    gsv_ideal,
     icis_pair_milnor,
-    is_invariant,
     milnor_form,
-    trivial_evaluation_ideal,
 )
 from brindex.localalg import INFINITY, colength, colength_oracle_auto, minors
 from brindex.parsing import parse_form, parse_poly
@@ -98,11 +94,11 @@ def test_milnor_form():
 
 def test_is_invariant():
     # The level curves of phi are invariant by dphi.
-    assert is_invariant(OneForm.differential(CUSP.phi), CUSP)
-    assert not is_invariant(_form("y dx + x dy"), CUSP)
+    assert LocalPair(OneForm.differential(CUSP.phi), CUSP).invariant
+    assert not LocalPair(_form("y dx + x dy"), CUSP).invariant
     line = _germ("y - x")
-    assert is_invariant(_form("y dx + x dy"), _germ("x*y"))
-    assert not is_invariant(_form("y dx + x dy"), line)
+    assert LocalPair(_form("y dx + x dy"), _germ("x*y")).invariant
+    assert not LocalPair(_form("y dx + x dy"), line).invariant
 
 
 # -- the dual Bruce-Roberts routes -------------------------------------------------
@@ -194,9 +190,9 @@ def test_radial_and_euler_obstruction():
 
 
 def test_gsv_knowns():
-    assert gsv_hyp(_form("y dx + x dy"), _germ("y^2 - x^5")) == 10
-    assert gsv_hyp(OneForm.differential(parse_poly("x", R2)), CUSP) == 3
-    assert gsv_hyp(OneForm.differential(CUSP.phi), CUSP) == INFINITY
+    assert LocalPair(_form("y dx + x dy"), _germ("y^2 - x^5")).gsv == 10
+    assert LocalPair(OneForm.differential(parse_poly("x", R2)), CUSP).gsv == 3
+    assert LocalPair(OneForm.differential(CUSP.phi), CUSP).gsv == INFINITY
 
 
 @pytest.mark.parametrize(
@@ -217,9 +213,11 @@ def test_surface_colengths_agree_with_the_oracle(phi, gsv):
     # included, against the linear-algebra oracle.
     X = _germ(phi, R3)
     omega = _form("(x + y^2) dx + (y + z^2) dy + (z + x^2) dz", R3)
-    ideals = (X.jacobian_ideal(), X.tjurina_ideal(), gsv_ideal(omega, X))
+    ideals = (X.jacobian_ideal, X.tjurina_ideal, LocalPair(omega, X).gsv_ideal)
     values = [colength(I) for I in ideals]
-    assert values == [colength_oracle_auto(I) for I in ideals]
+    assert values == [
+        colength_oracle_auto(I, start=v.depth + 2) for I, v in zip(ideals, values)
+    ]
     assert values[2] == gsv
 
 
@@ -276,10 +274,11 @@ def test_seeded_surface_colengths_agree_with_the_oracle():
     for phi in _SMALL_SURFACES:
         X = _germ(phi, R3)
         omega = _random_surface_form(rng)
+        pair = LocalPair(omega, X)
         ideals = {
-            "tjurina": X.tjurina_ideal(),
-            "gsv": gsv_ideal(omega, X),
-            "trivial": trivial_evaluation_ideal(omega, X),
+            "tjurina": X.tjurina_ideal,
+            "gsv": pair.gsv_ideal,
+            "trivial": pair.trivial_ideal,
         }
         for name, I in ideals.items():
             expected = colength_oracle_auto(I)
@@ -297,13 +296,13 @@ def test_gsv_icis_smoke():
     omega = _form("x dx + y dy + z dz", R3)
     fs = [parse_poly("x", R3), parse_poly("y", R3)]
     assert gsv_icis(omega, fs) == 1
-    # gsv_hyp takes omega ∧ dphi from wedge_coeffs, gsv_icis the 2x2 minors
+    # LocalPair.gsv takes omega ∧ dphi from wedge_coeffs, gsv_icis the 2x2 minors
     # of (dphi; A): the same polynomials up to sign, so the same index.
     X = _germ("x^3 + y*z^2 + y^3 + x*y^4", R3)
     omega = _form("z dx + x dy + y dz", R3)
     wedge = list(wedge_coeffs(omega, X.phi).values())
     assert wedge == [-m for m in minors([X.dphi, list(omega.coeffs)], 2)]
-    assert gsv_hyp(omega, X) == gsv_icis(omega, [X.phi])
+    assert LocalPair(omega, X).gsv == gsv_icis(omega, [X.phi])
 
 
 def test_icis_pair_milnor():

@@ -14,13 +14,7 @@ from hypothesis import strategies as st
 import brindex.localalg as localalg
 from brindex.corpus import run_identity_sweep
 from brindex.errors import BrindexError, ComputationError, InvariantCurveError
-from brindex.invariants import (
-    HypersurfaceGerm,
-    LocalPair,
-    br_function,
-    gsv_ideal,
-    trivial_evaluation_ideal,
-)
+from brindex.invariants import HypersurfaceGerm, LocalPair, br_function
 from brindex.localalg import LocalIdeal
 from brindex.parsing import parse_form, parse_poly
 from brindex.poly import OneForm, ring
@@ -84,26 +78,39 @@ def test_a_session_computes_each_base_colength_once(monkeypatch):
     assert all(c.passed for r in records for c in r.checks)
 
     omega, X = _ideals()
+    pair = LocalPair(omega, X)
     assert calls == Counter({
         LocalIdeal.make(R2, list(omega.coeffs)): 1,  # mu0(omega)
-        X.jacobian_ideal(): 1,  # mu0(X)
-        X.tjurina_ideal(): 1,  # tau0(X)
-        gsv_ideal(omega, X): 1,  # GSV
-        trivial_evaluation_ideal(omega, X): 1,  # read by invariants and br
+        X.jacobian_ideal: 1,  # mu0(X)
+        X.tjurina_ideal: 1,  # tau0(X)
+        pair.gsv_ideal: 1,  # GSV
+        pair.trivial_ideal: 1,  # read by invariants and br
     })
     assert sum(calls.values()) == 5
 
 
 def test_a_pair_computes_each_base_quantity_at_most_once(monkeypatch):
-    calls = _count_colength(monkeypatch)
+    received = []
+    original = localalg.colength
+
+    def recording(ideal, *args, **kwargs):
+        received.append(ideal)
+        return original(ideal, *args, **kwargs)
+
+    _patch_colength(monkeypatch, recording)
     omega, X = _ideals()
     pair = LocalPair(omega, X)
     first = (pair.report(), pair.bruce_roberts(), pair.br_relative(),
-             pair.radial_index(), pair.euler_obstruction())
+             pair.radial_index(), pair.euler_obstruction(), pair.bruce_roberts_trivial())
     again = (pair.report(), pair.bruce_roberts(), pair.br_relative(),
-             pair.radial_index(), pair.euler_obstruction())
+             pair.radial_index(), pair.euler_obstruction(), pair.bruce_roberts_trivial())
     assert first == again
-    assert sorted(calls.values()) == [1, 1, 1, 1]
+    assert pair.gsv_ideal is pair.gsv_ideal
+    # colength measures the owners' own ideal objects, each once; mu0(omega)
+    # is the colength of an ideal milnor_form builds.
+    owned = [X.jacobian_ideal, X.tjurina_ideal, pair.gsv_ideal, pair.trivial_ideal]
+    assert len(received) == 5
+    assert all(sum(I is own for I in received) == 1 for own in owned)
 
 
 def test_a_saturated_pair_is_its_own_saturation(monkeypatch):
@@ -112,7 +119,7 @@ def test_a_saturated_pair_is_its_own_saturation(monkeypatch):
     pair = LocalPair(omega, X)
     assert pair.saturation == (pair, 0)
     assert pair.tangency() == pair.gsv
-    assert calls == Counter({gsv_ideal(omega, X): 1})
+    assert calls == Counter({pair.gsv_ideal: 1})
 
 
 def test_a_common_factor_splits_off_its_intersection_number():
@@ -219,7 +226,7 @@ def _failed_checks(records) -> dict[str, set[str]]:
 
 def test_a_wrong_trivial_evaluation_colength_is_caught(monkeypatch):
     omega, X = _ideals()
-    target = trivial_evaluation_ideal(omega, X)
+    target = LocalPair(omega, X).trivial_ideal
     calls = _count_colength(monkeypatch)
     _off_by_one_on(monkeypatch, target)
     failed = _failed_checks(run_session_text(DEEP_SESSION))
@@ -232,7 +239,7 @@ def test_a_wrong_trivial_evaluation_colength_is_caught(monkeypatch):
 
 def test_a_wrong_gsv_colength_is_caught(monkeypatch):
     omega, X = _ideals()
-    _off_by_one_on(monkeypatch, gsv_ideal(omega, X))
+    _off_by_one_on(monkeypatch, LocalPair(omega, X).gsv_ideal)
     failed = _failed_checks(run_session_text(DEEP_SESSION))
     assert failed["invariants"] == {"trivial_evaluation"}
     assert failed["br"] == {"gsv_decomposition"}
@@ -280,7 +287,7 @@ def test_function_routes_compare_independent_ideals(monkeypatch):
     X = HypersurfaceGerm(parse_poly("y^2 - x^3", R2))
     f = parse_poly("x^2 + y^3", R2)
     assert br_function(f, X) == 5
-    _off_by_one_on(monkeypatch, trivial_evaluation_ideal(OneForm.differential(f), X))
+    _off_by_one_on(monkeypatch, LocalPair(OneForm.differential(f), X).trivial_ideal)
     with pytest.raises(ComputationError, match="function Bruce-Roberts routes disagree"):
         br_function(f, X)
 

@@ -16,7 +16,7 @@ from brindex.config import reset_limits, set_limits
 from brindex.corpus import run_identity_sweep
 from brindex.elim import coprime_at_origin
 from brindex.errors import ResourceLimitError
-from brindex.invariants import HypersurfaceGerm, LocalPair, trivial_evaluation_ideal
+from brindex.invariants import HypersurfaceGerm, LocalPair
 from brindex.localalg import (
     INFINITY,
     Colength,
@@ -193,10 +193,10 @@ def test_budget_exhaustion_raises():
 # move these counts.
 _STEP_PINS = [
     (
-        lambda: trivial_evaluation_ideal(
+        lambda: LocalPair(
             parse_form("(y + x^3) dx + (x + y^4 + x*y^2) dy", R2),
             HypersurfaceGerm(parse_poly("y^7 - x^10", R2)),
-        ),
+        ).trivial_ideal,
         71,
         43,
     ),

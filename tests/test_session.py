@@ -65,6 +65,13 @@ def test_good_session_runs():
     assert br.inputs == ("w", "X", "T")
 
 
+def test_any_whitespace_ends_a_statement_keyword():
+    tabbed = GOOD_SESSION.replace("ring ", "ring\t").replace("compute ", "compute \t ")
+    assert render_jsonl(run_session_text(tabbed)) == render_jsonl(
+        run_session_text(GOOD_SESSION)
+    )
+
+
 def test_comments_and_blank_lines_are_skipped():
     assert run_session_text("# nothing\n\n   \n# more nothing\n") == []
 
