@@ -30,7 +30,6 @@ from .invariants import (
     gsv_icis,
     icis_pair_milnor,
     intersection_mult,
-    milnor_form,
 )
 from .foliation import (
     Parametrization,

@@ -80,7 +80,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             try:
-                with open(args.file, encoding="utf-8-sig") as fh:
+                with open(args.file, encoding="utf-8") as fh:
                     text = fh.read()
             except (OSError, UnicodeDecodeError) as exc:
                 print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ nu + 1 in the dicritical case.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, asdict, dataclass
+from dataclasses import InitVar, asdict, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -26,7 +26,7 @@ from .errors import (
     IrrationalPointError,
     NonIsolatedError,
 )
-from .invariants import Check, HypersurfaceGerm, LocalPair, milnor_form
+from .invariants import Check, HypersurfaceGerm
 from .localalg import INFINITY
 from .poly import MPoly, OneForm, Ring, exact_divide, ring, wedge_coeffs
 
@@ -64,9 +64,8 @@ class PlaneFoliation:
             raise ComputationError("plane foliations need exactly two variables")
         return cls(omega.ring, omega.coeffs[0], omega.coeffs[1])
 
-    @property
-    def form(self) -> OneForm:
-        return OneForm(self.ring, (self.A, self.B))
+    # One form per foliation, so its mu0 is computed once.
+    form = cached_property(lambda self: OneForm(self.ring, (self.A, self.B)))
 
     def multiplicity(self) -> int:
         """nu = min of the vanishing orders of the saturated coefficients."""
@@ -74,10 +73,6 @@ class PlaneFoliation:
 
     def is_singular_at_origin(self) -> bool:
         return self.A.constant_term() == 0 and self.B.constant_term() == 0
-
-    def milnor(self) -> int | float:
-        """mu0(F) = colength of the coefficient ideal of the saturated form."""
-        return milnor_form(self.form)
 
     def tangent_field_applied(self, phi: MPoly) -> MPoly:
         """v(phi) for the tangent field v = -B d/dx + A d/dy."""
@@ -189,6 +184,13 @@ class BlowupResult:
     dicritical: bool
     chart_xt: PlaneFoliation  # coordinates (x, t), divisor x = 0
     chart_uy: PlaneFoliation  # coordinates (u, y), divisor y = 0
+    _at: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def at(self, p: "ExceptionalPoint") -> PlaneFoliation:
+        """The strict transform recentred at the divisor point p, one per point."""
+        if p not in self._at:
+            self._at[p] = p.at(self.chart_xt, self.chart_uy)
+        return self._at[p]
 
     @cached_property
     def exceptional_singularities(self) -> tuple[tuple["ExceptionalPoint", int], ...]:
@@ -204,16 +206,23 @@ class BlowupResult:
             raise IrrationalPointError(
                 f"irrational singularity on the exceptional divisor: {exc}"
             ) from exc
-        points = [(ExceptionalPoint("xt", t0), F.translate((Fraction(0), t0))) for t0 in roots]
+        points = [ExceptionalPoint("xt", t0) for t0 in roots]
         if self.chart_uy.is_singular_at_origin():
-            points.append((ExceptionalPoint("uy", Fraction(0)), self.chart_uy))
+            points.append(ExceptionalPoint("uy", Fraction(0)))
         out = []
-        for p, fol in points:
-            mu = fol.milnor()
+        for p in points:
+            mu = self.at(p).form.mu0
             if mu == INFINITY:
                 raise NonIsolatedError("non-isolated singularity on the divisor")
             out.append((p, int(mu)))
         return tuple(out)
+
+
+def _charts(p: MPoly) -> tuple[MPoly, MPoly]:
+    """p pulled back to the charts: (p(x, t x), p(u y, y))."""
+    x, t = CHART_XT.var(0), CHART_XT.var(1)
+    u, y = CHART_UY.var(0), CHART_UY.var(1)
+    return p.subs(CHART_XT, [x, t * x]), p.subs(CHART_UY, [u * y, y])
 
 
 def blowup(F: PlaneFoliation) -> BlowupResult:
@@ -226,16 +235,13 @@ def blowup(F: PlaneFoliation) -> BlowupResult:
     power x^k that divides both leaves none.  The same holds in the chart
     (u, y) -> (u y, y) with y inverted.
     """
+    (A1, A2), (B1, B2) = _charts(F.A), _charts(F.B)
     x1, t1 = CHART_XT.var(0), CHART_XT.var(1)
-    A1 = F.A.subs(CHART_XT, [x1, t1 * x1])
-    B1 = F.B.subs(CHART_XT, [x1, t1 * x1])
     dx_coeff = A1 + t1 * B1
     dt_coeff = x1 * B1
     k1 = int(min(_min_var_power(dx_coeff, 0), _min_var_power(dt_coeff, 0)))
 
     u2, y2 = CHART_UY.var(0), CHART_UY.var(1)
-    A2 = F.A.subs(CHART_UY, [u2 * y2, y2])
-    B2 = F.B.subs(CHART_UY, [u2 * y2, y2])
     du_coeff = y2 * A2
     dy_coeff = u2 * A2 + B2
     k2 = int(min(_min_var_power(du_coeff, 1), _min_var_power(dy_coeff, 1)))
@@ -282,6 +288,12 @@ class ExceptionalPoint:
     chart: str
     coord: Fraction  # t0 in chart "xt"; 0 in chart "uy"
 
+    def at(self, xt, uy):
+        """Of the chart pair xt, uy, the one holding this point, recentred at it."""
+        if self.chart == "xt":
+            return xt.translate((Fraction(0), self.coord))
+        return uy
+
 
 @dataclass(frozen=True)
 class CurveBlowup:
@@ -305,20 +317,15 @@ class CurveBlowup:
         return ExceptionalPoint("uy", Fraction(0))
 
     def germ_at(self, p: ExceptionalPoint) -> HypersurfaceGerm:
-        if p.chart == "xt":
-            return HypersurfaceGerm(self.chart_xt.translate((Fraction(0), p.coord)))
-        return HypersurfaceGerm(self.chart_uy)
+        return HypersurfaceGerm(p.at(self.chart_xt, self.chart_uy))
 
 
 def strict_transform_curve(X: HypersurfaceGerm) -> CurveBlowup:
     if X.n != 2:
         raise ComputationError("curve blow-up needs exactly two variables")
     m = X.multiplicity()
-    x1, t1 = CHART_XT.var(0), CHART_XT.var(1)
-    total_xt = X.phi.subs(CHART_XT, [x1, t1 * x1])
+    total_xt, total_uy = _charts(X.phi)
     strict_xt = _strip_var_power(total_xt, 0, m)
-    u2, y2 = CHART_UY.var(0), CHART_UY.var(1)
-    total_uy = X.phi.subs(CHART_UY, [u2 * y2, y2])
     strict_uy = _strip_var_power(total_uy, 1, m)
 
     cone = strict_xt.restrict(0)  # degree-m binary form at x = 0
@@ -330,7 +337,7 @@ def strict_transform_curve(X: HypersurfaceGerm) -> CurveBlowup:
             raise IrrationalPointError(
                 f"irrational divisor intersection of the strict transform: {exc}"
             ) from exc
-    meets_origin = strict_uy.eval_at((Fraction(0), Fraction(0))) == 0
+    meets_origin = strict_uy.constant_term() == 0
     return CurveBlowup(
         m=m,
         chart_xt=strict_xt,
@@ -413,13 +420,11 @@ class BlowupReport:
         ]
 
 
-def verify_blowup_formula(
-    F: PlaneFoliation, X: HypersurfaceGerm, q: ExceptionalPoint | None = None
-) -> BlowupReport:
+def verify_blowup_formula(F: PlaneFoliation, X: HypersurfaceGerm) -> BlowupReport:
     """Compare mu_BR at the origin with the chart ledger of F's blow-up.
 
-    q is the divisor point of the strict transform of X; by default it is
-    derived, which requires X irreducible at the origin.
+    q is the one divisor point of the strict transform of X, which requires X
+    irreducible at the origin.
     """
     origin = X.pair(F.form)
     mu_br_0 = origin.bruce_roberts()
@@ -427,14 +432,8 @@ def verify_blowup_formula(
 
     bl = F.blown_up
     bl_curve = strict_transform_curve(X)
-    if q is None:
-        q = bl_curve.unique_divisor_point()
-
-    if q.chart == "xt":
-        fol_q = bl.chart_xt.translate((Fraction(0), q.coord))
-    else:
-        fol_q = bl.chart_uy
-    at_q = LocalPair(fol_q.form, bl_curve.germ_at(q))
+    q = bl_curve.unique_divisor_point()
+    at_q = bl_curve.germ_at(q).pair(bl.at(q).form)
     mu_br_q = at_q.bruce_roberts()
     mu_br_rel_q = at_q.br_relative()
 
@@ -488,23 +487,22 @@ class GeneralizedCurveReport:
 
 
 def generalized_curve_check(
-    F: PlaneFoliation, f_sep: MPoly, X: HypersurfaceGerm
+    F: PlaneFoliation, sep: HypersurfaceGerm, X: HypersurfaceGerm
 ) -> GeneralizedCurveReport:
     """Compare the Bruce-Roberts drop of F against the Hamiltonian foliation
-    of its (reduced) separatrix equation f_sep along a non-invariant X.
+    of its separatrix germ sep = {f_sep = 0} along a non-invariant X.
 
     delta = [mu_BR(F,X) - mu_BR(f_sep,X)] - [mu_BR^-(F,X) - mu_BR^-(f_sep,X)]
     equals mu0(F) - mu0(d f_sep); it vanishes exactly for generalized curves.
     """
-    if f_sep.ring != F.ring:
+    if sep.ring != F.ring:
         raise ValueError("separatrix equation must live in the foliation's ring")
-    sep_wedge = F.tangent_field_applied(f_sep)
-    if not sep_wedge.is_zero and exact_divide(sep_wedge, f_sep) is None:
+    sep_wedge = F.tangent_field_applied(sep.phi)
+    if not sep_wedge.is_zero and exact_divide(sep_wedge, sep.phi) is None:
         raise ComputationError("f_sep is not invariant by the foliation")
-    HypersurfaceGerm(f_sep)  # validates reducedness for the plane case
 
     along_F = X.pair(F.form)
-    along_sep = X.pair(OneForm.differential(f_sep))
+    along_sep = X.pair(sep.dform)
     mu_br_F = along_F.bruce_roberts()
     mu_br_rel_F = along_F.br_relative()
     mu_br_sep = along_sep.bruce_roberts()

@@ -3,8 +3,9 @@
 Everything reduces to colengths of explicitly constructed ideals, each built
 by the one object that measures it:
 
-* mu0(omega)        coefficient ideal of the form (``milnor_form``)
-* mu0(X), tau0(X)   ``HypersurfaceGerm.jacobian_ideal`` and ``tjurina_ideal``
+* mu0(omega)        coefficient ideal of the form (``OneForm.mu0``)
+* mu0(X), tau0(X)   mu0 of the germ's differential (``HypersurfaceGerm.dform``)
+                    and ``HypersurfaceGerm.tjurina_ideal``
 * GSV index         ``LocalPair.gsv_ideal``: <phi> + the coefficients of
                     omega ∧ dphi
 * Bruce-Roberts     GSV + mu0(omega) - tau0(X); equivalently the colength of
@@ -68,8 +69,9 @@ class HypersurfaceGerm:
     """A reduced hypersurface germ (X, 0) = {phi = 0}.
 
     phi must vanish at the origin and be reduced there: phi and its partials
-    share no factor through the origin.  The germ holds its mu0, its tau0 and
-    its pairs, each made on first use; it hashes and compares by phi alone.
+    share no factor through the origin.  The germ holds its differential
+    (whose mu0 is mu0(X)), its tau0 and its pairs, each made on first use; it
+    hashes and compares by phi alone.
     """
 
     phi: MPoly
@@ -91,19 +93,17 @@ class HypersurfaceGerm:
     def n(self) -> int:
         return self.phi.ring.n
 
-    @property
-    def dphi(self) -> list[MPoly]:
-        return [self.phi.partial(i) for i in range(self.n)]
+    dform = cached_property(lambda self: OneForm.differential(self.phi))
+    dphi = property(lambda self: list(self.dform.coeffs))
 
     def multiplicity(self) -> int:
         return int(self.phi.order())
 
-    jacobian_ideal = cached_property(lambda self: LocalIdeal.make(self.ring, self.dphi))
     tjurina_ideal = cached_property(
         lambda self: LocalIdeal.make(self.ring, [self.phi, *self.dphi])
     )
     # mu0(X) and tau0(X); a raise is not kept, so it is computed again if asked.
-    mu0 = cached_property(lambda self: colength(self.jacobian_ideal))
+    mu0 = property(lambda self: self.dform.mu0)
     tau0 = cached_property(lambda self: colength(self.tjurina_ideal))
 
     def pair(self, omega: OneForm) -> "LocalPair":
@@ -138,13 +138,6 @@ class ThetaGenerators:
                 raise NotTangentError(
                     f"generator {k} is not tangent to the hypersurface"
                 )
-
-
-def milnor_form(omega: OneForm) -> int | float:
-    """mu0(omega): colength of the coefficient ideal <A_1, ..., A_n>."""
-    if omega.is_zero:
-        raise ComputationError("the zero 1-form has no Milnor number")
-    return colength(LocalIdeal.make(omega.ring, list(omega.coeffs)))
 
 
 def intersection_mult(f: MPoly, g: MPoly) -> int | float:
@@ -258,18 +251,18 @@ _REJECT = {
 
 
 class LocalPair:
-    """A (form, hypersurface) pair at the origin.  mu0(omega), omega ∧ dphi,
-    the GSV and trivial-evaluation ideals and their colengths, the invariance
-    test and the saturation are each computed at most once, and mu0(X) and
-    tau0(X) are the germ's; every invariant is a difference of them and raises
-    the typed error of the first base quantity it needs that fails, checked in
-    a fixed order."""
+    """A (form, hypersurface) pair at the origin.  omega ∧ dphi, the GSV and
+    trivial-evaluation ideals and their colengths, the invariance test and the
+    saturation are each computed at most once; mu0(omega) is the form's, and
+    mu0(X) and tau0(X) are the germ's.  Every invariant is a difference of
+    them and raises the typed error of the first base quantity it needs that
+    fails, checked in a fixed order."""
 
     def __init__(self, omega: OneForm, X: HypersurfaceGerm):
         self.omega = omega
         self.X = X
 
-    mu0_omega = cached_property(lambda self: milnor_form(self.omega))
+    mu0_omega = property(lambda self: self.omega.mu0)
     mu0_X = property(lambda self: self.X.mu0)
     tau0 = property(lambda self: self.X.tau0)
     # omega ∧ dphi, computed once: the invariance test reads it, and the GSV

@@ -175,7 +175,8 @@ def _int_spoly(f_rec: tuple, g_rec: tuple, lcm: int, packer: _Packer) -> dict:
 
 
 def _staircase(n: int, exps: Sequence[Exp]) -> tuple[int, Exp] | None:
-    """(cell count, deepest cell under local_key) of the staircase of ``exps``.
+    """(cell count, deepest cell under local_key) of the staircase of ``exps``
+    in n >= 2 variables.
 
     Cells are the monomials no exponent divides (an empty staircase reports
     the origin); None when some variable has no pure power.  Two variables:
@@ -183,11 +184,6 @@ def _staircase(n: int, exps: Sequence[Exp]) -> tuple[int, Exp] | None:
     a_i <= x < a_{i+1}, deepest cell at an inner corner.  Otherwise recurse on
     the slices of the last variable.
     """
-    if n == 1:
-        if not exps:
-            return None
-        a = min(e[0] for e in exps)
-        return a, (max(a - 1, 0),)
     if n == 2:
         minimal: list[Exp] = []
         for e in sorted(exps):

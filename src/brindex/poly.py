@@ -34,9 +34,10 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Sequence
 
-from .errors import ResourceLimitError
+from .errors import ComputationError, ResourceLimitError
 
 Exp = tuple[int, ...]
 Scalar = Fraction | int
@@ -641,6 +642,16 @@ class OneForm:
     @property
     def is_zero(self) -> bool:
         return all(a.is_zero for a in self.coeffs)
+
+    @cached_property
+    def mu0(self) -> int | float:
+        """mu0(omega): colength of the coefficient ideal <A_1, ..., A_n>,
+        computed once per form; a raise is not kept."""
+        from .localalg import LocalIdeal, colength  # localalg imports this module
+
+        if self.is_zero:
+            raise ComputationError("the zero 1-form has no Milnor number")
+        return colength(LocalIdeal.make(self.ring, list(self.coeffs)))
 
     def apply(self, field: Sequence[MPoly]) -> MPoly:
         """Evaluate the form on a vector field given by its components."""

@@ -113,7 +113,7 @@ class Region:
         """
         out: dict[Point, int] = {}
         for p in self.singular_zeros:
-            mu = self.fol.translate(p).milnor()
+            mu = self.fol.translate(p).form.mu0
             if mu == INFINITY:
                 raise ComputationError(f"non-isolated foliation singularity at {self.point(p)}")
             out[p] = int(mu)

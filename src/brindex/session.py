@@ -17,10 +17,12 @@ Each compute line yields one ResultRecord; the JSON form carries exactly the
 keys directive, inputs, values, checks (timing is human-output only, so two
 runs of the same session are byte-identical).
 
-A session keeps one ``HypersurfaceGerm`` per polynomial, holding its mu0, tau0
-and one ``LocalPair`` per form, and one saturated ``PlaneFoliation`` per form,
-holding its blow-up, divisor singularities and singular points on P^2; each is
-computed once.  Nothing outlives the session; a failed computation is not kept.
+A session keeps one ``HypersurfaceGerm`` per polynomial, holding its
+differential, tau0 and one ``LocalPair`` per form, and one saturated
+``PlaneFoliation`` per form, holding its form, its blow-up with one foliation
+per divisor point, and its singular points on P^2.  Each form holds its mu0;
+each is computed once.  Nothing outlives the session; a failed computation is
+not kept.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .invariants import (
     _fin,
     bruce_roberts_user_theta,
     gsv_icis,
-    milnor_form,
 )
 from .parsing import parse_form, parse_poly
 from .poly import MPoly, OneForm, Ring, ring
@@ -147,6 +148,7 @@ class Session:
     # -- statement execution ----------------------------------------------
 
     def execute_text(self, text: str) -> list[ResultRecord]:
+        text = text.removeprefix("\ufeff")  # a byte order mark is no statement
         for no, raw in enumerate(text.splitlines(), start=1):
             stmt = raw.split("#", 1)[0].strip()
             if not stmt:
@@ -313,14 +315,14 @@ class Session:
         self._need_args(args, (1,), "milnor FORM|CURVE|POLY", line)
         name = args[0]
         if name in self.forms:
-            value = milnor_form(self.forms[name])
+            value = self.forms[name].mu0
         elif name in self.curves:
             value = self.curves[name].mu0
         elif name in self.polys:
             df = OneForm.differential(self.polys[name])
             if df.is_zero:
                 raise ComputationError("a constant polynomial has no Milnor number")
-            value = milnor_form(df)
+            value = df.mu0
         else:
             raise SessionError(f"no form, curve or poly named {name!r}", line)
         return ResultRecord("milnor", tuple(args), {"milnor": _fin(value)}, [])
@@ -396,7 +398,7 @@ class Session:
         omega = self._get(self.forms, args[0], "form", line)
         sep = self._get_poly_like(args[1], line)
         X = self._germ_of(args[2], line)
-        rep = generalized_curve_check(self._foliation(omega), sep, X)
+        rep = generalized_curve_check(self._foliation(omega), self._germ(sep), X)
         return ResultRecord("gc-check", tuple(args), rep.values(), rep.checks())
 
     def _run_p2_check(self, args, line) -> ResultRecord:

@@ -115,7 +115,7 @@ def suite_a():
                 "trivial": int(pair.trivial),
                 "tang": pair.tangency(),
                 "nu": fol.multiplicity(),
-                "milnor_F": int(fol.milnor()),
+                "milnor_F": int(fol.form.mu0),
                 "additivity": additivity,
                 "colengths": [_with_oracle(I) for I in ideals],
             }

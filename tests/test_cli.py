@@ -24,6 +24,7 @@ from brindex.corpus import (
     run_corpus,
     run_identity_sweep,
 )
+from brindex.session import render_jsonl, run_session_text
 
 
 @pytest.fixture(autouse=True)
@@ -111,6 +112,12 @@ def test_a_byte_order_mark_is_not_part_of_the_first_statement(tmp_path, capsys):
     (tmp_path / "bom.session").write_text(GOOD, encoding="utf-8-sig")
     assert main(["run", str(tmp_path / "bom.session"), "--json"]) == 0
     assert capsys.readouterr().out == want
+
+
+def test_a_byte_order_mark_is_stripped_for_library_callers():
+    # A caller that reads a session file itself gets the mark as text.
+    with_mark = run_session_text("\ufeff" + GOOD)
+    assert render_jsonl(with_mark) == render_jsonl(run_session_text(GOOD))
 
 
 @pytest.mark.parametrize("value", ["3", "0"])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from brindex.errors import ComputationError, InvariantCurveError
+from brindex.errors import BrindexError, ComputationError, InvariantCurveError
 from brindex.foliation import (
     CHART_XT,
     T_RING,
@@ -25,9 +25,10 @@ from brindex.foliation import (
 from brindex import elim
 from brindex.elim import saturate
 from brindex.invariants import HypersurfaceGerm, LocalPair, intersection_mult
-from brindex.localalg import INFINITY
+from brindex.localalg import INFINITY, LocalIdeal, colength
 from brindex.parsing import parse_form, parse_poly
 from brindex.poly import OneForm, ring
+from brindex.session import run_session_text
 from tests_util import CallSpy, affine_forms, with_form_examples
 
 R2 = ring("x", "y")
@@ -63,7 +64,7 @@ def test_foliation_from_form_saturates():
     assert F.A == parse_poly("y", R2)
     assert F.B == parse_poly("x", R2)
     assert F.multiplicity() == 1
-    assert F.milnor() == 1
+    assert F.form.mu0 == 1
     assert F.is_singular_at_origin()
 
 
@@ -223,6 +224,45 @@ def test_strict_transforms_are_saturated_by_construction(form):
         assert common.total_degree() == 0
 
 
+@given(form=affine_forms())
+@with_form_examples
+def test_blowup_recentres_each_divisor_point_once(form):
+    F = PlaneFoliation.from_form(OneForm(R2, form))
+    try:
+        bl = blowup(F)
+        with pytest.MonkeyPatch.context() as mp:
+            spy = CallSpy(mp, "localalg", "colength")
+            sing = bl.exceptional_singularities
+        mu0_F = F.form.mu0
+    except BrindexError:
+        return  # only blow-ups that finish are checked
+    # One colength per divisor point, each on the point's one foliation.
+    assert len(spy.args) == len(sing)
+    for p, mu in sing:
+        fol = bl.at(p)
+        assert fol is bl.at(p)
+        assert mu == colength(LocalIdeal.make(fol.ring, [fol.A, fol.B]))
+    # Milnor numbers are conserved through the blow-up.
+    nu, total = bl.nu, sum(mu for _, mu in sing)
+    if bl.dicritical:
+        assert mu0_F == (nu + 1) ** 2 - (nu + 2) + total
+    else:
+        assert mu0_F == nu * nu - (nu + 1) + total
+
+
+def test_a_blowup_ledger_computes_each_colength_once(monkeypatch):
+    F = _fol("(-3*y) dx + 2*x dy")
+    q = strict_transform_curve(_germ("y^2 - x^5")).unique_divisor_point()
+    assert F.blown_up.at(q) is F.blown_up.at(q)
+    spy = CallSpy(monkeypatch, "localalg", "colength")
+    records = run_session_text(
+        "ring x, y\ncurve X = y^2 - x^5\nform lin = -3*y dx + 2*x dy\n"
+        "compute blowup-verify lin X\n"
+    )
+    assert all(c.passed for r in records for c in r.checks)
+    assert len(spy.args) == len({ideal for ideal, in spy.args})
+
+
 def test_blowup_dicritical_detection():
     # Lines through the origin: the divisor is transverse, not invariant.
     bl = blowup(_fol("(-y) dx + x dy"))
@@ -322,7 +362,7 @@ def test_strict_transforms_compute_no_gcd(monkeypatch):
 def test_generalized_curve_positive():
     X = _germ("y^2 - x^5")
     F = _fol("(-3*y) dx + 2*x dy")
-    rep = generalized_curve_check(F, parse_poly("x*y", R2), X)
+    rep = generalized_curve_check(F, _germ("x*y"), X)
     assert rep.delta == 0
     assert rep.is_generalized_curve
     assert [(c.name, c.lhs, c.rhs, c.passed) for c in rep.checks()] == [
@@ -333,7 +373,7 @@ def test_generalized_curve_positive():
 def test_generalized_curve_negative_saddle_node():
     L = _germ("y - x")
     F = _fol("y dx + (-x^2) dy")
-    rep = generalized_curve_check(F, parse_poly("x*y", R2), L)
+    rep = generalized_curve_check(F, _germ("x*y"), L)
     assert rep.delta == 1
     assert not rep.is_generalized_curve
     assert rep.mu0_F == 2
@@ -345,4 +385,4 @@ def test_generalized_curve_rejects_non_invariant_separatrix():
     X = _germ("y - x")
     F = _fol("(-3*y) dx + 2*x dy")
     with pytest.raises(ComputationError):
-        generalized_curve_check(F, parse_poly("x + y^2", R2), X)
+        generalized_curve_check(F, _germ("x + y^2"), X)

@@ -8,11 +8,13 @@ import signal
 
 import pytest
 
+from brindex.config import reset_limits, set_limits
 from brindex.errors import (
     ComputationError,
     InvariantCurveError,
     NonIsolatedError,
     NotTangentError,
+    ResourceLimitError,
 )
 from brindex.invariants import (
     HypersurfaceGerm,
@@ -23,9 +25,8 @@ from brindex.invariants import (
     bruce_roberts_user_theta,
     gsv_icis,
     icis_pair_milnor,
-    milnor_form,
 )
-from brindex.localalg import INFINITY, colength, colength_oracle_auto, minors
+from brindex.localalg import INFINITY, LocalIdeal, colength, colength_oracle_auto, minors
 from brindex.parsing import parse_form, parse_poly
 from brindex.poly import MPoly, OneForm, ring, wedge_coeffs
 
@@ -86,10 +87,23 @@ def test_milnor_and_tjurina_of_knowns():
 
 
 def test_milnor_form():
-    assert milnor_form(_form("x dx + y dy")) == 1
-    assert milnor_form(_form("y dx + x dy")) == 1
-    assert milnor_form(_form("(-3*x^2) dx + 2*y dy")) == 2
-    assert milnor_form(_form("x dx + 0 dy")) == INFINITY
+    assert _form("x dx + y dy").mu0 == 1
+    assert _form("y dx + x dy").mu0 == 1
+    assert _form("(-3*x^2) dx + 2*y dy").mu0 == 2
+    assert _form("x dx + 0 dy").mu0 == INFINITY
+
+
+def test_the_form_keeps_its_mu0_but_no_raise():
+    omega = _form("(y^3 - x^7) dx + (x^2*y + y^5) dy")
+    set_limits(max_reduction_steps=1)
+    try:
+        with pytest.raises(ResourceLimitError):
+            omega.mu0
+    finally:
+        reset_limits()
+    assert omega.mu0 == colength(LocalIdeal.make(R2, list(omega.coeffs)))
+    with pytest.raises(ComputationError, match="zero 1-form"):
+        _form("0 dx + 0 dy").mu0
 
 
 def test_is_invariant():
@@ -213,7 +227,7 @@ def test_surface_colengths_agree_with_the_oracle(phi, gsv):
     # included, against the linear-algebra oracle.
     X = _germ(phi, R3)
     omega = _form("(x + y^2) dx + (y + z^2) dy + (z + x^2) dz", R3)
-    ideals = (X.jacobian_ideal, X.tjurina_ideal, LocalPair(omega, X).gsv_ideal)
+    ideals = (LocalIdeal.make(R3, X.dphi), X.tjurina_ideal, LocalPair(omega, X).gsv_ideal)
     values = [colength(I) for I in ideals]
     assert values == [
         colength_oracle_auto(I, start=v.depth + 2) for I, v in zip(ideals, values)

@@ -81,7 +81,7 @@ def test_a_session_computes_each_base_colength_once(monkeypatch):
     pair = LocalPair(omega, X)
     assert calls == Counter({
         LocalIdeal.make(R2, list(omega.coeffs)): 1,  # mu0(omega)
-        X.jacobian_ideal: 1,  # mu0(X)
+        LocalIdeal.make(R2, X.dphi): 1,  # mu0(X)
         X.tjurina_ideal: 1,  # tau0(X)
         pair.gsv_ideal: 1,  # GSV
         pair.trivial_ideal: 1,  # read by invariants and br
@@ -107,10 +107,12 @@ def test_a_pair_computes_each_base_quantity_at_most_once(monkeypatch):
     assert first == again
     assert pair.gsv_ideal is pair.gsv_ideal
     # colength measures the owners' own ideal objects, each once; mu0(omega)
-    # is the colength of an ideal milnor_form builds.
-    owned = [X.jacobian_ideal, X.tjurina_ideal, pair.gsv_ideal, pair.trivial_ideal]
+    # and mu0(X) are colengths of ideals that each form builds.
+    owned = [X.tjurina_ideal, pair.gsv_ideal, pair.trivial_ideal]
+    built = [LocalIdeal.make(R2, list(omega.coeffs)), LocalIdeal.make(R2, X.dphi)]
     assert len(received) == 5
     assert all(sum(I is own for I in received) == 1 for own in owned)
+    assert all(received.count(I) == 1 for I in built)
 
 
 def test_a_saturated_pair_is_its_own_saturation(monkeypatch):

@@ -143,7 +143,7 @@ def _box_staircase(n: int, exps: list) -> tuple | None:
 
 @st.composite
 def _exponent_sets(draw):
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 3))
     exp = st.tuples(*[st.integers(0, 5)] * n)
     exps = draw(st.lists(exp, max_size=8))
     if draw(st.booleans()):  # a pure power of every variable

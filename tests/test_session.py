@@ -263,25 +263,12 @@ def test_a_session_saturates_blows_up_and_walks_each_form_once(monkeypatch):
     assert [tuple(map(str, args)) for args in zeros.args].count(("y", "x")) == 1
 
 
-# colength calls minus distinct ideals, per session; every other session
-# repeats none.  Two repeats stay: the strict transform's Milnor number at q,
-# which the pair at q and the divisor singularities both compute, and mu0 of
-# a form, which each pair holds, so ``milnor FORM`` computes it again.
-COLENGTH_REPEATS = {
-    "demo": 1,
-    "suzuki": 2,
-    "blowup-nondicritical": 1,
-    "blowup-dicritical": 1,
-    "generalized-curve": 1,
-}
-
-
 @pytest.mark.parametrize("case_id", list(SESSIONS))
 def test_reuse_computes_each_colength_once(monkeypatch, case_id):
     spy = CallSpy(monkeypatch, "localalg", "colength")
     run_session_text(SESSIONS[case_id])
     distinct = {ideal for ideal, in spy.args}
-    assert len(spy.args) - len(distinct) == COLENGTH_REPEATS.get(case_id, 0)
+    assert len(spy.args) == len(distinct)
 
 
 def test_reuse_of_a_germ_keeps_no_raise():
