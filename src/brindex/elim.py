@@ -38,6 +38,7 @@ polynomials by p-adic expansion" (SIAM J. Comput. 1983).
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import gcd
 
@@ -586,8 +587,14 @@ def rational_common_zeros(
     """Common zeros of two coprime bivariate polynomials, all required rational.
 
     Eliminates the second variable by a resultant, extracts rational roots,
-    and finishes with univariate gcds on each fiber.  Raises
-    IrrationalPointError when a common zero outside Q^2 cannot be excluded.
+    and finishes with univariate gcds on each fiber.  A root of the resultant
+    that is the x of no common zero is a common root of the leading
+    coefficients in y.  So when the resultant has a root outside Q and
+    neither leading coefficient is constant, the pair is sheared,
+    (x, y) -> (x + c y, y) for the least c >= 1 that makes one constant, and
+    every root of the new resultant is x - c y at a common zero.  Raises
+    IrrationalPointError, with the text of the first elimination, when a
+    common zero lies outside Q^2.
     """
     if f.ring != g.ring or f.ring.n != 2:
         raise ValueError("rational_common_zeros expects two bivariate polynomials")
@@ -607,7 +614,14 @@ def rational_common_zeros(
     points: list[tuple[Fraction, Fraction]] = []
     if res_x.total_degree() == 0:
         return points
-    for x0, _ in rational_roots(res_x):
+    try:
+        roots = rational_roots(res_x)
+    except IrrationalPointError:
+        zeros = _sheared_zeros(f, g)
+        if zeros is None:
+            raise
+        return zeros
+    for x0, _ in roots:
         fy = f.restrict(0, x0)
         gy = g.restrict(0, x0)
         if fy.is_zero and gy.is_zero:
@@ -617,4 +631,21 @@ def rational_common_zeros(
         points.extend((x0, y0) for y0 in common_rational_roots(fy, gy))
     points.sort()
     return points
+
+
+def _sheared_zeros(f: MPoly, g: MPoly) -> list[tuple[Fraction, Fraction]] | None:
+    """The common zeros through the shear of ``rational_common_zeros``; None
+    when a leading coefficient in y is constant or a zero lies outside Q^2."""
+    if any(len(_to_dense(p, [1, 0])[0][-1]) == 1 for p in (f, g)):
+        return None
+    x, y = f.ring.var(0), f.ring.var(1)
+    for c in itertools.count(1):
+        F, G = (p.subs(f.ring, [x + c * y, y]) for p in (f, g))
+        if F.coeff((0, f.total_degree())) or G.coeff((0, g.total_degree())):
+            break
+    try:
+        zeros = rational_common_zeros(F, G)  # a leading coefficient is constant
+    except IrrationalPointError:
+        return None
+    return sorted((x0 + c * y0, y0) for x0, y0 in zeros)
 

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Sequence
 
-from .elim import coprime_at_origin, saturate
+from .elim import coprime_at_origin
 from .errors import (
     ComputationError,
     InvariantCurveError,
@@ -35,7 +35,7 @@ from .errors import (
     NotTangentError,
     UnsupportedError,
 )
-from .localalg import INFINITY, LocalIdeal, colength, minors
+from .localalg import INFINITY, LocalIdeal, colength
 from .poly import MPoly, OneForm, exact_divide, wedge_coeffs
 
 
@@ -127,13 +127,10 @@ class ThetaGenerators:
 
     def verify_tangent(self, X: HypersurfaceGerm) -> None:
         """Check dphi(xi) in <phi> for every field, by exact division."""
-        dphi = X.dphi
         for k, xi in enumerate(self.fields):
             if len(xi) != X.n:
                 raise ValueError("vector field dimension does not match the germ")
-            value = X.ring.zero()
-            for comp, d in zip(xi, dphi):
-                value = value + comp * d
+            value = X.dform.apply(list(xi))
             if not value.is_zero and exact_divide(value, X.phi) is None:
                 raise NotTangentError(
                     f"generator {k} is not tangent to the hypersurface"
@@ -148,12 +145,12 @@ def intersection_mult(f: MPoly, g: MPoly) -> int | float:
 
 
 def gsv_icis(omega: OneForm, fs: Sequence[MPoly]) -> int | float:
-    """GSV index of omega along the ICIS {f_1 = ... = f_k = 0}."""
+    """GSV index of omega along the ICIS {f_1 = ... = f_k = 0}: the colength
+    of <f_1, ..., f_k> + the coefficients of df_1 ∧ ... ∧ df_k ∧ omega."""
     if not fs:
         raise ValueError("need at least one equation")
     ring_ = omega.ring
-    k = len(fs)
-    if k + 1 > ring_.n:
+    if len(fs) >= ring_.n:
         raise UnsupportedError("too many equations: not an ICIS of positive dimension")
     for f in fs:
         if f.ring != ring_:
@@ -162,10 +159,8 @@ def gsv_icis(omega: OneForm, fs: Sequence[MPoly]) -> int | float:
             raise ComputationError("the zero polynomial does not define an ICIS")
         if f.constant_term() != 0:
             raise ComputationError("ICIS equations must vanish at the origin")
-    rows = [[f.partial(i) for i in range(ring_.n)] for f in fs]
-    rows.append(list(omega.coeffs))
-    mm = minors(rows, k + 1)
-    return colength(LocalIdeal.make(ring_, list(fs) + mm))
+    minors = wedge_coeffs(*map(OneForm.differential, fs), omega).values()
+    return colength(LocalIdeal.make(ring_, [*fs, *minors]))
 
 
 def bruce_roberts_user_theta(
@@ -267,7 +262,7 @@ class LocalPair:
     tau0 = property(lambda self: self.X.tau0)
     # omega ∧ dphi, computed once: the invariance test reads it, and the GSV
     # and trivial-evaluation ideals take its coefficients as generators.
-    wedge = cached_property(lambda self: wedge_coeffs(self.omega, self.X.phi))
+    wedge = cached_property(lambda self: wedge_coeffs(self.omega, self.X.dform))
 
     @cached_property
     def gsv_ideal(self) -> LocalIdeal:
@@ -302,8 +297,9 @@ class LocalPair:
     @cached_property
     def saturation(self) -> tuple["LocalPair", int | float]:
         """The pair of omega/g along X, and i_0(g, phi), where g is the
-        common factor of omega's coefficients; (self, 0) when g is constant."""
-        coeffs, g = saturate(*self.omega.coeffs)
+        common factor of omega's coefficients; (self, 0) when g is constant.
+        The form saturates itself; the saturated pair is not the germ's."""
+        coeffs, g = self.omega.saturation
         if g.total_degree() == 0:
             return self, 0
         saturated = LocalPair(OneForm(self.omega.ring, coeffs), self.X)

@@ -487,41 +487,3 @@ def colength_oracle_auto(ideal: LocalIdeal, start: int = 4, cap: int = 64) -> in
         bound += 2
     raise ResourceLimitError(f"colength oracle did not stabilize below bound {cap}")
 
-
-# -- minors -------------------------------------------------------------------
-
-
-def _det(matrix: list[list[MPoly]], ring_: Ring) -> MPoly:
-    k = len(matrix)
-    if k == 1:
-        return matrix[0][0]
-    total = ring_.zero()
-    for j in range(k):
-        entry = matrix[0][j]
-        if entry.is_zero:
-            continue
-        sub = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-        cofactor = _det(sub, ring_)
-        term = entry * cofactor
-        total = total + (term if j % 2 == 0 else -term)
-    return total
-
-
-def minors(rows: Sequence[Sequence[MPoly]], k: int) -> list[MPoly]:
-    """All k x k minors of the matrix, in sorted row/column-subset order."""
-    if not rows:
-        raise ValueError("empty matrix")
-    ring_ = rows[0][0].ring
-    n_rows = len(rows)
-    n_cols = len(rows[0])
-    for row in rows:
-        if len(row) != n_cols:
-            raise ValueError("ragged matrix")
-    if k < 1 or k > n_rows or k > n_cols:
-        raise ValueError(f"cannot take {k}x{k} minors of a {n_rows}x{n_cols} matrix")
-    out = []
-    for ris in itertools.combinations(range(n_rows), k):
-        for cis in itertools.combinations(range(n_cols), k):
-            sub = [[rows[r][c] for c in cis] for r in ris]
-            out.append(_det(sub, ring_))
-    return out

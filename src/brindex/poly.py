@@ -30,6 +30,7 @@ a float.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -511,12 +512,14 @@ class MPoly:
     def homogenize(self, target: Ring, extra: int | str, degree: int | None = None) -> "MPoly":
         """Homogenize with the variable ``extra`` of ``target``.
 
-        ``target`` must contain the source variables (same order) plus the
-        homogenizing one.  With the default degree this produces the usual
-        projective closure equation.
+        Source variable i goes to the i-th variable of ``target`` other than
+        ``extra``, by position, whatever the names.  With the default degree
+        this produces the usual projective closure equation.
         """
         j = extra if isinstance(extra, int) else target.index(extra)
-        src_positions = [target.index(name) for name in self.ring.names]
+        src_positions = [i for i in range(target.n) if i != j]
+        if len(src_positions) != self.ring.n:
+            raise ValueError("the target needs one variable more than the source")
         if degree is None:
             degree = max(self.total_degree(), 0)
         acc: dict = {}
@@ -653,6 +656,14 @@ class OneForm:
             raise ComputationError("the zero 1-form has no Milnor number")
         return colength(LocalIdeal.make(self.ring, list(self.coeffs)))
 
+    @cached_property
+    def saturation(self) -> tuple[tuple[MPoly, ...], MPoly]:
+        """``elim.saturate`` of the coefficients: those of omega / g, and the
+        common factor g; computed once per form, and a raise is not kept."""
+        from .elim import saturate  # elim imports this module
+
+        return saturate(*self.coeffs)
+
     def apply(self, field: Sequence[MPoly]) -> MPoly:
         """Evaluate the form on a vector field given by its components."""
         if len(field) != self.ring.n:
@@ -671,17 +682,26 @@ class OneForm:
         return " + ".join(parts) if parts else "0"
 
 
-def wedge_coeffs(omega: OneForm, phi: MPoly) -> dict[tuple[int, int], MPoly]:
-    """Coefficients of omega ∧ dphi on the basis dx_j ∧ dx_k, j < k.
+def wedge_coeffs(*forms: OneForm) -> dict[tuple[int, ...], MPoly]:
+    """Coefficients of omega_1 ∧ ... ∧ omega_m on each dx_I, with I in
+    ``itertools.combinations`` order: the minor of the forms' coefficient
+    rows on the columns I, so A_j B_k - A_k B_j for two forms."""
+    ring_ = forms[0].ring
+    if any(f.ring != ring_ for f in forms):
+        raise ValueError("forms live in different rings")
+    rows = [f.coeffs for f in forms]
 
-    The (j, k) entry is A_j * phi_{x_k} - A_k * phi_{x_j}.
-    """
-    if omega.ring != phi.ring:
-        raise ValueError("form and polynomial live in different rings")
-    n = phi.ring.n
-    partials = [phi.partial(i) for i in range(n)]
-    out: dict[tuple[int, int], MPoly] = {}
-    for j in range(n):
-        for k in range(j + 1, n):
-            out[(j, k)] = omega.coeffs[j] * partials[k] - omega.coeffs[k] * partials[j]
-    return out
+    def minor(m: int, cols: tuple[int, ...]) -> MPoly:
+        """The minor of the first m rows, expanded along row m from its last
+        column, whose sign is +, with alternating signs."""
+        row = rows[m - 1]
+        if m == 1:
+            return row[cols[0]]
+        total = row[cols[-1]] * minor(m - 1, cols[:-1])
+        for i in range(m - 2, -1, -1):
+            term = row[cols[i]] * minor(m - 1, cols[:i] + cols[i + 1 :])
+            total = total - term if (m - 1 - i) % 2 else total + term
+        return total
+
+    m = len(rows)
+    return {I: minor(m, I) for I in itertools.combinations(range(ring_.n), m)}

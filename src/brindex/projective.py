@@ -12,13 +12,15 @@ of degree r, and compares with d^2 + d + 1 + r(d + r - 1) - tau(X).  Every
 point lies in one of three disjoint regions, each read in one affine chart,
 a row of ``CHARTS``:
 
-    0  the affine plane                  chart z = 1, (x, y)
+    0  the affine plane                  chart z = 1, the input's own variables
     1  the line at infinity but [0:1:0]  chart x = 1, (u, v) = (y/x, z/x), at v = 0
     2  the point [0:1:0]                 chart y = 1, (s, w) = (x/y, z/y), at the origin
 
-A ``ProjectiveFoliation`` owns its regions, and each region owns its
-singular points with their Milnor numbers.  The Milnor sum reads them, and
-the global check adds the tangency points with their tang and tau.
+A ``ProjectiveFoliation`` owns its regions; region 0 is the affine form and
+curve as given, their variables read by position.  Each region owns its
+singular points with their Milnor numbers, read by the Milnor sum; the
+global check adds the tangency points, each point's tang sharing its mu's
+recentred foliation.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .errors import ComputationError, InvariantCurveError, IrrationalPointError
 from .foliation import PlaneFoliation
 from .invariants import Check, HypersurfaceGerm, LocalPair
 from .localalg import INFINITY
-from .poly import MPoly, exact_divide, ring
+from .poly import MPoly, OneForm, exact_divide, ring
 
 PROJ_RING = ring("x", "y", "z")
 Point = tuple[Fraction, Fraction]
@@ -73,10 +75,10 @@ def _origin_zeros(f: MPoly, g: MPoly, what: str) -> list[Point]:
     return [(zero, zero)] if f.constant_term() == 0 == g.constant_term() else []
 
 
-# Per region: the chart ring, the variable set to 1, the variables kept, and
-# the common zeros of two chart polynomials in the region.
+# Per region: the chart ring (none for the affine input), the variable set to
+# 1, the variables kept, and the common zeros of two chart polynomials there.
 CHARTS = (
-    (ring("x", "y"), 2, (0, 1), _affine_zeros),
+    (None, 2, (0, 1), _affine_zeros),
     (ring("u", "v"), 0, (1, 2), _line_zeros),
     (ring("s", "w"), 1, (0, 2), _origin_zeros),
 )
@@ -122,19 +124,16 @@ class Region:
 
 @dataclass(frozen=True)
 class ProjectiveFoliation:
-    """Saturated homogeneous 1-form P dx + Q dy + R dz with Euler relation.
-
-    The charts are saturated by construction (Brunella, *Birational Geometry
-    of Foliations*, ch. 2).  From xP + yQ + zR = 0, a common factor of two
-    coefficients divides the third variable times the third coefficient; it
-    is prime to that coefficient, since gcd(P, Q, R) = 1, so it is a power of
-    that variable, which dehomogenizing at it sends to 1.
+    """Saturated homogeneous 1-form P dx + Q dy + R dz with Euler relation,
+    and the saturated affine form it extends.  The charts are saturated by
+    construction (the proof is in ``PlaneFoliation``).
     """
 
     P: MPoly
     Q: MPoly
     R: MPoly
     degree: int
+    form: OneForm  # the affine form, not its foliation, which caches self
 
     @classmethod
     def from_affine(cls, fol: PlaneFoliation) -> "ProjectiveFoliation":
@@ -162,14 +161,17 @@ class ProjectiveFoliation:
         if not euler.is_zero:
             raise ComputationError("Euler relation failed after homogenization")
         d = max(P.total_degree(), Q.total_degree(), R.total_degree()) - 1
-        return cls(P, Q, R, d)
+        return cls(P, Q, R, d, fol.form)
 
     def chart(self, k: int) -> PlaneFoliation:
-        """The foliation in the chart of region k: the coefficients of the
-        kept variables, dehomogenized."""
+        """The foliation in the chart of region k: the affine form for region
+        0, else the coefficients of the kept variables, dehomogenized."""
+        if k == 0:
+            return PlaneFoliation(self.form)
         R2, which, keep, _ = CHARTS[k]
-        A, B = ((self.P, self.Q, self.R)[i].dehomogenize(R2, which, keep) for i in keep)
-        return PlaneFoliation(R2, A, B, saturated=True)
+        triple = (self.P, self.Q, self.R)
+        coeffs = tuple(triple[i].dehomogenize(R2, which, keep) for i in keep)
+        return PlaneFoliation(OneForm(R2, coeffs))
 
     @cached_property
     def regions(self) -> tuple[Region, ...]:
@@ -178,10 +180,12 @@ class ProjectiveFoliation:
 
 @dataclass(frozen=True)
 class ProjectiveCurve:
-    """Reduced homogeneous curve equation of degree r >= 1."""
+    """Reduced homogeneous curve equation of degree r >= 1, and the affine
+    equation phi it closes."""
 
     F: MPoly
     r: int
+    phi: MPoly
 
     @classmethod
     def from_affine(cls, phi: MPoly) -> "ProjectiveCurve":
@@ -191,9 +195,11 @@ class ProjectiveCurve:
         F = phi.homogenize(PROJ_RING, 2, r)
         if not is_squarefree(F):
             raise ComputationError("projective curve equation is not reduced")
-        return cls(F, r)
+        return cls(F, r, phi)
 
     def chart(self, k: int) -> MPoly:
+        if k == 0:
+            return self.phi
         R2, which, keep, _ = CHARTS[k]
         return self.F.dehomogenize(R2, which, keep)
 

@@ -18,11 +18,12 @@ keys directive, inputs, values, checks (timing is human-output only, so two
 runs of the same session are byte-identical).
 
 A session keeps one ``HypersurfaceGerm`` per polynomial, holding its
-differential, tau0 and one ``LocalPair`` per form, and one saturated
-``PlaneFoliation`` per form, holding its form, its blow-up with one foliation
-per divisor point, and its singular points on P^2.  Each form holds its mu0;
-each is computed once.  Nothing outlives the session; a failed computation is
-not kept.
+differential, tau0 and one ``LocalPair`` per form, and one ``PlaneFoliation``
+per form, whose form is the declared one when that is saturated.  The
+foliation holds its blow-up, its extension to P^2 (whose affine region reads
+the same form) and one recentred foliation per point.  Each form holds its
+mu0 and its saturation; each is computed once.  Nothing outlives the session;
+a failed computation is not kept.
 """
 
 from __future__ import annotations

@@ -12,13 +12,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from brindex import elim
 from brindex.elim import poly_gcd, rational_common_zeros, rational_roots, resultant
 from brindex.errors import ComputationError, IrrationalPointError
 from brindex.poly import MPoly, ring
+from tests_util import affine_forms, with_form_examples
 
 RINGS = {1: ring("x"), 2: ring("x", "y"), 3: ring("x", "y", "z")}
 R1 = RINGS[1]
@@ -155,6 +156,48 @@ def test_common_zeros_of_polynomials_sharing_a_factor(f, g, message):
 def test_common_zeros_of_coprime_polynomials_free_of_y():
     assert rational_common_zeros(R2.parse("x"), R2.parse("x + 1")) == []
     assert rational_common_zeros(R2.parse("x^2 - 1"), R2.constant(2)) == []
+
+
+def test_a_spurious_irrational_root_of_the_resultant_is_no_common_zero():
+    # Both leading coefficients in y vanish where x^2 + x + 1 does, so the
+    # resultant vanishes there too, but no common zero lies over those x.
+    f, g = R2.parse("1 + y + x*y + x^2*y"), R2.parse("y + x*y + x^2*y")
+    assert rational_common_zeros(f, g) == []
+    f, g = R2.parse("(x^2 + x + 1)*y + x - 1"), R2.parse("(x^2 + x + 1)*y + 2*(x - 1)")
+    assert rational_common_zeros(f, g) == [(Fraction(1), Fraction(0))]
+    # A common zero at x^2 = 2 is refused, in the words of the first elimination.
+    f, g = R2.parse("(x^2 + x + 1)*y + x^2 - 2"), R2.parse("(x^2 + x + 1)*y + 2*(x^2 - 2)")
+    with pytest.raises(IrrationalPointError) as raised:
+        rational_common_zeros(f, g)
+    assert str(raised.value) == (
+        "polynomial -2 - 2*x - x^2 + x^3 + x^4 has a root not in Q "
+        "(factor x**4 + x**3 - x**2 - 2*x - 2)"
+    )
+
+
+def _common_zeros(f: MPoly, g: MPoly):
+    try:
+        return rational_common_zeros(f, g)
+    except ComputationError as exc:  # IrrationalPointError is one
+        return type(exc).__name__
+
+
+@given(form=affine_forms())
+@with_form_examples
+@example(form=(R2.parse("1 + y + x*y + x^2*y"), R2.parse("y + x*y + x^2*y")))
+def test_common_zeros_by_position_do_not_depend_on_the_variable_order(form):
+    """Eliminating x instead of y from a coprime pair finds the same zeros,
+    or the same typed error: an irrational root of one resultant is refused
+    only when it carries a common zero."""
+    pair, _ = elim.saturate(*form)
+    if any(f.is_zero for f in pair):
+        return
+    direct = _common_zeros(*pair)
+    swapped = _common_zeros(*(MPoly(R2, {(j, i): c for (i, j), c in f.terms()}) for f in pair))
+    if isinstance(direct, str):
+        assert swapped == direct
+    else:
+        assert swapped == sorted((y0, x0) for x0, y0 in direct)
 
 
 def test_gcd_is_normalized_at_the_local_leading_term():

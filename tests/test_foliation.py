@@ -77,13 +77,35 @@ def test_translate_computes_no_gcd(monkeypatch):
     moved = F.translate(point)
     assert calls == []
     monkeypatch.undo()
-    assert moved == PlaneFoliation(R2, F.A.translate(point), F.B.translate(point))
+    assert moved == PlaneFoliation(OneForm(R2, (F.A.translate(point), F.B.translate(point))))
 
 
 def test_skipping_saturation_keeps_the_ring_check():
     R3 = ring("x", "y", "z")
     with pytest.raises(ComputationError, match="exactly two variables"):
-        PlaneFoliation(R3, R3.var(0), R3.var(1), saturated=True)
+        PlaneFoliation(OneForm(R3, (R3.var(0), R3.var(1), R3.var(2))))
+    with pytest.raises(ComputationError, match="exactly two variables"):
+        PlaneFoliation.from_form(OneForm(R3, (R3.zero(),) * 3))
+
+
+def test_a_saturated_form_is_kept_and_saturated_once(monkeypatch):
+    w = parse_form("y dx + x dy", R2)
+    assert PlaneFoliation.from_form(w).form is w
+    # A form with a common factor is saturated once, by the form itself, for
+    # the pairs along two germs and for the foliation.
+    spy = CallSpy(monkeypatch, "elim", "saturate")
+    w = parse_form("x*y dx + x^2 dy", R2)
+    (X_sat, _), (Y_sat, _) = (_germ(c).pair(w).saturation for c in ("y^2 - x^3", "y - x"))
+    F = PlaneFoliation.from_form(w)
+    assert len(spy.args) == 1
+    assert X_sat.omega.coeffs == Y_sat.omega.coeffs == F.form.coeffs
+
+
+def test_a_foliation_recentres_once_per_point():
+    F = _fol("(x + y^2) dx + (2*y - x^2 + x*y) dy")
+    point = (Fraction(1, 2), Fraction(-3))
+    assert F.translate(point) is F.translate(point)
+    assert F.translate((Fraction(0), Fraction(0))) is F
 
 
 def test_tangent_field_applied():
@@ -239,8 +261,8 @@ def test_blowup_recentres_each_divisor_point_once(form):
     # One colength per divisor point, each on the point's one foliation.
     assert len(spy.args) == len(sing)
     for p, mu in sing:
-        fol = bl.at(p)
-        assert fol is bl.at(p)
+        fol = p.at(bl.chart_xt, bl.chart_uy)
+        assert fol is p.at(bl.chart_xt, bl.chart_uy)
         assert mu == colength(LocalIdeal.make(fol.ring, [fol.A, fol.B]))
     # Milnor numbers are conserved through the blow-up.
     nu, total = bl.nu, sum(mu for _, mu in sing)
@@ -253,7 +275,8 @@ def test_blowup_recentres_each_divisor_point_once(form):
 def test_a_blowup_ledger_computes_each_colength_once(monkeypatch):
     F = _fol("(-3*y) dx + 2*x dy")
     q = strict_transform_curve(_germ("y^2 - x^5")).unique_divisor_point()
-    assert F.blown_up.at(q) is F.blown_up.at(q)
+    bl = F.blown_up
+    assert q.at(bl.chart_xt, bl.chart_uy) is q.at(bl.chart_xt, bl.chart_uy)
     spy = CallSpy(monkeypatch, "localalg", "colength")
     records = run_session_text(
         "ring x, y\ncurve X = y^2 - x^5\nform lin = -3*y dx + 2*x dy\n"

@@ -26,7 +26,7 @@ from brindex.invariants import (
     gsv_icis,
     icis_pair_milnor,
 )
-from brindex.localalg import INFINITY, LocalIdeal, colength, colength_oracle_auto, minors
+from brindex.localalg import INFINITY, LocalIdeal, colength, colength_oracle_auto
 from brindex.parsing import parse_form, parse_poly
 from brindex.poly import MPoly, OneForm, ring, wedge_coeffs
 
@@ -310,13 +310,13 @@ def test_gsv_icis_smoke():
     omega = _form("x dx + y dy + z dz", R3)
     fs = [parse_poly("x", R3), parse_poly("y", R3)]
     assert gsv_icis(omega, fs) == 1
-    # LocalPair.gsv takes omega ∧ dphi from wedge_coeffs, gsv_icis the 2x2 minors
-    # of (dphi; A): the same polynomials up to sign, so the same index.
+    # LocalPair.gsv takes the coefficients of omega ∧ dphi, gsv_icis those of
+    # dphi ∧ omega: the same polynomials up to sign, so the same index.
     X = _germ("x^3 + y*z^2 + y^3 + x*y^4", R3)
     omega = _form("z dx + x dy + y dz", R3)
-    wedge = list(wedge_coeffs(omega, X.phi).values())
-    assert wedge == [-m for m in minors([X.dphi, list(omega.coeffs)], 2)]
-    assert LocalPair(omega, X).gsv == gsv_icis(omega, [X.phi])
+    pair = LocalPair(omega, X)
+    assert list(wedge_coeffs(X.dform, omega).values()) == [-w for w in pair.wedge.values()]
+    assert pair.gsv == gsv_icis(omega, [X.phi])
 
 
 def test_icis_pair_milnor():

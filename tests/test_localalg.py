@@ -32,10 +32,9 @@ from brindex.localalg import (
     colength,
     colength_oracle,
     colength_oracle_auto,
-    minors,
 )
 from brindex.parsing import parse_form, parse_poly
-from brindex.poly import MPoly, _packer, local_key, ring
+from brindex.poly import MPoly, OneForm, _packer, local_key, ring, wedge_coeffs
 from tests_util import CallSpy
 
 R1 = ring("t")
@@ -526,15 +525,13 @@ def test_oracle_exponent_past_the_code_field():
 
 
 def test_minors_of_a_jacobian_block():
+    # The 2 x 2 minors of the rows (x, y, z) and (z, x, y) are the
+    # coefficients of the wedge of the two forms, in column-subset order.
     x = R3.var("x")
     y = R3.var("y")
     z = R3.var("z")
-    rows = [[x, y, z], [z, x, y]]
-    out = minors(rows, 2)
-    assert len(out) == 3
-    assert x * x - y * z in out
-    assert x * y - z * z in out
-    assert y * y - x * z in out
+    out = wedge_coeffs(OneForm(R3, (x, y, z)), OneForm(R3, (z, x, y)))
+    assert out == {(0, 1): x * x - y * z, (0, 2): x * y - z * z, (1, 2): y * y - x * z}
 
 
 def test_colength_values_are_plain_ints():

@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from brindex.config import reset_limits, set_limits
+from brindex.corpus import CASES
 from brindex.elim import saturate
-from brindex.errors import InvariantCurveError, IrrationalPointError, ResourceLimitError
-from brindex.foliation import PlaneFoliation
+from brindex.errors import (
+    BrindexError,
+    InvariantCurveError,
+    IrrationalPointError,
+    ResourceLimitError,
+)
+from brindex.foliation import PlaneFoliation, verify_blowup_formula
+from brindex.invariants import HypersurfaceGerm
 from brindex.parsing import parse_form, parse_poly
-from brindex.poly import OneForm, ring
+from brindex.poly import MPoly, OneForm, ring
 from brindex.projective import (
     PROJ_RING,
     ProjectiveCurve,
@@ -18,6 +27,7 @@ from brindex.projective import (
     foliation_milnor_sum,
     global_br_check,
 )
+from brindex.session import render_jsonl, run_session_text
 from tests_util import CallSpy, affine_forms, with_form_examples
 
 R2 = ring("x", "y")
@@ -74,6 +84,124 @@ def test_projective_curve_charts():
     pc = ProjectiveCurve.from_affine(parse_poly("y - x^2", R2))
     assert pc.r == 2
     assert pc.chart(0) == parse_poly("y - x^2", R2)
+
+
+def test_region_0_is_the_affine_input():
+    fol = _fol("(x + y^2) dx + (2*y - x^2) dy")
+    pf = fol.projective
+    assert pf.regions[0].fol.form is fol.form
+    assert pf.chart(0) == pf.regions[0].fol
+    phi = parse_poly("y - x^2", R2)
+    assert ProjectiveCurve.from_affine(phi).chart(0) is phi
+
+
+# -- variables are read by position ------------------------------------------------
+
+
+def _session(names: str, form: str, curve: str | None = None) -> str:
+    lines = [f"ring {names}", f"form w = {form}"]
+    if curve is not None:
+        lines += [f"poly C = {curve}", "compute p2-check w C"]
+    else:
+        lines.append("compute p2-check w")
+    return "\n".join(lines)
+
+
+def _outcome(text: str):
+    """The JSON lines of a session, or the type and text of its error."""
+    try:
+        return render_jsonl(run_session_text(text))
+    except BrindexError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_p2_check_reads_the_variables_by_position():
+    # The first variable is x and the second y, whatever their names: read by
+    # name, ring a, b raised a KeyError, and ring y, x answered for the
+    # foliation x dx - 2*y dy.
+    pencil = _outcome(_session("x, y", "y dx + x dy"))
+    assert _outcome(_session("a, b", "b da + a db")) == pencil
+    twin = _outcome(_session("x, y", "y dy - 2*x dx"))
+    assert twin[0] == "IrrationalPointError"
+    assert _outcome(_session("y, x", "x dx - 2*y dy")) == twin
+    (case,) = (c for c in CASES if c.id == "p2-pencil-line")
+    record = render_jsonl(run_session_text(case.session))
+    assert _outcome(_session("a, b", "b da + a db", "a + b - 1")) == record
+
+
+def _normalized(values: dict, swap: bool = False) -> dict:
+    """The values with each point scaled so its first nonzero coordinate is
+    1, x and y exchanged when swap is set, and the points sorted."""
+
+    def scaled(p: list) -> tuple[Fraction, ...]:
+        coords = [Fraction(c) for c in ((p[1], p[0], p[2]) if swap else p[:3])]
+        lead = next(c for c in coords if c)
+        return tuple(c / lead for c in coords)
+
+    return {**values, "points": sorted((scaled(p), *p[3:]) for p in values["points"])}
+
+
+def _values(text: str):
+    """The one record's values, or the type of the error."""
+    try:
+        (record,) = run_session_text(text)
+    except BrindexError as exc:
+        return type(exc).__name__
+    return record.values
+
+
+@given(form=affine_forms())
+@with_form_examples
+@example(form=(R2.parse("1 + y + x*y + x^2*y"), R2.parse("y + x*y + x^2*y")))
+def test_p2_check_by_position_whatever_the_names(form):
+    """The form in ring x, y, renamed to ring a, b, and written in ring y, x
+    (whose first variable is y, so its coefficients come swapped) give the
+    same p2-check, or the same typed error; in ring y, x the points come with
+    x and y exchanged."""
+    A, B = form
+    R_ab = ring("a", "b")
+    A_ab, B_ab = (MPoly(R_ab, c.as_dict()) for c in form)
+    for curve in (None, "y - x^2 + 2*x*y"):
+        curve_ab = None if curve is None else repr(MPoly(R_ab, R2.parse(curve).as_dict()))
+        xy = _values(_session("x, y", f"({A}) dx + ({B}) dy", curve))
+        ab = _values(_session("a, b", f"({A_ab}) da + ({B_ab}) db", curve_ab))
+        yx = _values(_session("y, x", f"({A}) dx + ({B}) dy", curve))
+        assert ab == xy
+        if isinstance(xy, str):
+            assert yx == xy
+        else:
+            assert not isinstance(yx, str), yx
+            assert _normalized(yx) == _normalized(xy, swap=True)
+
+
+@given(form=affine_forms())
+@with_form_examples
+def test_each_region_and_divisor_point_is_recentred_once(form):
+    """Across both forms of p2-check and a blow-up ledger, no polynomial is
+    translated to the same point twice: the Milnor number and the tangency
+    order at a point share one recentred foliation, and so do the divisor
+    singularities and the ledger at q."""
+    calls: list[tuple[MPoly, tuple]] = []  # holds each polynomial, so no id is reused
+    translate = MPoly.translate
+
+    def spy(self, point):
+        calls.append((self, tuple(point)))
+        return translate(self, point)
+
+    fol = PlaneFoliation.from_form(OneForm(R2, form))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MPoly, "translate", spy)
+        for run in (
+            lambda: foliation_milnor_sum(fol),
+            lambda: global_br_check(fol, parse_poly("y - x^2 + 2*x*y", R2)),
+            lambda: verify_blowup_formula(fol, HypersurfaceGerm(parse_poly("y^2 - x^3", R2))),
+        ):
+            try:
+                run()
+            except BrindexError:
+                pass
+    keys = [(id(poly), point) for poly, point in calls]
+    assert len(keys) == len(set(keys))
 
 
 def test_pencil_against_a_line():

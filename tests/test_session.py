@@ -18,6 +18,7 @@ from brindex.errors import (
     SessionError,
 )
 from brindex.invariants import HypersurfaceGerm
+from brindex.localalg import LocalIdeal
 from brindex.parsing import parse_form, parse_poly
 from brindex.poly import ring
 from brindex.session import Session, render_human, render_jsonl, run_session_text
@@ -246,6 +247,7 @@ def test_a_session_saturates_blows_up_and_walks_each_form_once(monkeypatch):
     saturations = CallSpy(monkeypatch, "elim", "saturate")
     blowups = CallSpy(monkeypatch, "foliation", "blowup")
     zeros = CallSpy(monkeypatch, "elim", "rational_common_zeros")
+    colengths = CallSpy(monkeypatch, "localalg", "colength")
     text = """
     ring x, y
     form w = y dx + x dy
@@ -261,6 +263,9 @@ def test_a_session_saturates_blows_up_and_walks_each_form_once(monkeypatch):
     assert len(blowups.args) == 1
     # The singular points of the affine chart are the common zeros of (y, x).
     assert [tuple(map(str, args)) for args in zeros.args].count(("y", "x")) == 1
+    # mu0 of w is <y, x>, once: the affine region of P^2 reads w itself.
+    R = ring("x", "y")
+    assert colengths.args.count((LocalIdeal.make(R, [R.var(1), R.var(0)]),)) == 1
 
 
 @pytest.mark.parametrize("case_id", list(SESSIONS))
